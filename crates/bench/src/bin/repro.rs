@@ -37,12 +37,6 @@
 //!   --queue-cap <N>     serve: queued connections beyond busy workers
 //!                       (past the cap requests get 503 + Retry-After)
 //!   --request-timeout-ms <N>  serve: default per-run deadline
-//!   --role <ROLE>       serve: cluster role, router or worker
-//!   --peers <LIST>      serve: comma-separated HOST:PORT peers — the
-//!                       fleet a router routes to, or the siblings a
-//!                       worker pulls packed traces from on a miss
-//!   --rate-limit <N>    serve (router): per-client token-bucket refill
-//!                       rate in run-weight tokens per second
 //! ```
 //!
 //! Unknown flags are rejected with exit code 2. Experiment reports go to
@@ -54,7 +48,6 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use horizon_bench::cluster::{peer_fetch, Router, RouterOptions};
 use horizon_bench::serve::{ServeOptions, Server};
 use horizon_bench::{find_experiment, run_experiment, ReproConfig, REGISTRY};
 use horizon_core::campaign::SamplingPolicy;
@@ -84,9 +77,6 @@ struct Options {
     workers: Option<usize>,
     queue_cap: Option<usize>,
     request_timeout_ms: Option<u64>,
-    role: Option<String>,
-    peers: Option<String>,
-    rate_limit: Option<u64>,
 }
 
 enum ParseError {
@@ -131,9 +121,6 @@ fn parse_args(args: &[String]) -> Result<Options, ParseError> {
         workers: None,
         queue_cap: None,
         request_timeout_ms: None,
-        role: None,
-        peers: None,
-        rate_limit: None,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -235,29 +222,6 @@ fn parse_args(args: &[String]) -> Result<Options, ParseError> {
                     .ok_or(ParseError::BadValue("--request-timeout-ms", v))?;
                 opts.request_timeout_ms = Some(n);
             }
-            "--role" => {
-                let v = value("--role")?;
-                if v != "router" && v != "worker" {
-                    return Err(ParseError::BadValue("--role", v));
-                }
-                opts.role = Some(v);
-            }
-            "--peers" => {
-                let v = value("--peers")?;
-                if v.is_empty() || v.split(',').any(|peer| peer.trim().is_empty()) {
-                    return Err(ParseError::BadValue("--peers", v));
-                }
-                opts.peers = Some(v);
-            }
-            "--rate-limit" => {
-                let v = value("--rate-limit")?;
-                let n = v
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or(ParseError::BadValue("--rate-limit", v))?;
-                opts.rate_limit = Some(n);
-            }
             other if other.starts_with("--") => {
                 return Err(ParseError::UnknownFlag(other.to_string()));
             }
@@ -283,8 +247,7 @@ fn usage() {
          [--metrics-out FILE] [--otlp-out FILE]\n\
          \x20      repro cache-gc --cache-dir DIR [--max-entries N] [--max-trace-bytes N]\n\
          \x20      repro serve [--addr HOST:PORT] [--workers N] [--queue-cap N] \
-         [--request-timeout-ms N] [--jobs N] [--cache-dir DIR] [--trace-store DIR] \
-         [--role router|worker] [--peers HOST:PORT,...] [--rate-limit N]"
+         [--request-timeout-ms N] [--jobs N] [--cache-dir DIR] [--trace-store DIR]"
     );
     eprintln!("subcommands: {SUBCOMMANDS}");
     let ids: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
@@ -372,64 +335,12 @@ fn run_cache_gc(opts: &Options) -> u8 {
     0
 }
 
-/// Runs the cluster router until SIGTERM/SIGINT: no engine of its own,
-/// just rendezvous routing, admission control and relays over `--peers`.
-fn run_router(opts: &Options, recorder: std::sync::Arc<Recorder>) -> u8 {
-    let mut router_opts = RouterOptions::default();
-    if let Some(addr) = &opts.addr {
-        router_opts.addr = addr.clone();
-    }
-    if let Some(workers) = opts.workers {
-        router_opts.workers = workers;
-    }
-    if let Some(cap) = opts.queue_cap {
-        router_opts.queue_cap = cap;
-    }
-    if let Some(ms) = opts.request_timeout_ms {
-        router_opts.proxy_timeout = Duration::from_millis(ms);
-    }
-    router_opts.rate_limit = opts.rate_limit;
-    router_opts.peers = split_peers(opts.peers.as_deref().unwrap_or(""));
-    let addr = router_opts.addr.clone();
-    let router = match Router::bind(router_opts, recorder) {
-        Ok(router) => router,
-        Err(e) => {
-            eprintln!("error: cannot bind '{addr}': {e}");
-            return 1;
-        }
-    };
-    // Same ready line as a worker: smoke tests and scripts parse the
-    // resolved (possibly ephemeral) port from it regardless of role.
-    eprintln!("repro-serve listening on http://{}", router.local_addr());
-    match router.run() {
-        Ok(()) => {
-            eprintln!("repro-serve: drained in-flight work, shutting down cleanly");
-            0
-        }
-        Err(e) => {
-            eprintln!("error: serve: {e}");
-            1
-        }
-    }
-}
-
-/// `--peers` as a list: comma-separated, whitespace-tolerant.
-fn split_peers(list: &str) -> Vec<String> {
-    list.split(',')
-        .map(|peer| peer.trim().to_string())
-        .filter(|peer| !peer.is_empty())
-        .collect()
-}
-
 /// Runs the persistent daemon until SIGTERM/SIGINT, then drains.
 fn run_serve(
     opts: &Options,
     engine: std::sync::Arc<Engine>,
     recorder: std::sync::Arc<Recorder>,
 ) -> u8 {
-    if opts.role.as_deref() == Some("router") {
-        return run_router(opts, recorder);
-    }
     let mut serve_opts = ServeOptions::default();
     if let Some(addr) = &opts.addr {
         serve_opts.addr = addr.clone();
@@ -604,32 +515,6 @@ fn main() -> ExitCode {
         };
     }
 
-    // Cluster flag consistency, checked up front so a bad topology never
-    // gets as far as binding a socket.
-    if opts.peers.is_some() && opts.role.is_none() {
-        eprintln!("error: flag '--peers' requires '--role router' or '--role worker'");
-        return ExitCode::from(2);
-    }
-    if opts.role.as_deref() == Some("router") && opts.peers.is_none() {
-        eprintln!("error: '--role router' requires '--peers HOST:PORT,...'");
-        return ExitCode::from(2);
-    }
-    if opts.rate_limit.is_some() && opts.role.as_deref() != Some("router") {
-        eprintln!("error: flag '--rate-limit' requires '--role router'");
-        return ExitCode::from(2);
-    }
-    if opts.role.as_deref() == Some("worker")
-        && opts.peers.is_some()
-        && opts.cache_dir.is_none()
-        && (opts.trace_store.is_none() || opts.no_trace_store)
-    {
-        eprintln!(
-            "error: a peered worker needs a trace store to install fetched traces into \
-             (give --cache-dir or --trace-store)"
-        );
-        return ExitCode::from(2);
-    }
-
     // One recorder serves the whole process: installed globally (so the
     // simulator and analysis stages record into it) and shared with the
     // engine (so campaign/job spans and the derived stats join the same
@@ -674,22 +559,6 @@ fn main() -> ExitCode {
             }
         };
     }
-    // A peered worker pulls packed traces from its siblings on a
-    // trace-store miss before paying for regeneration; fetched bytes are
-    // validated and installed into the local store, so peering can only
-    // trade wall-clock, never results.
-    if opts.target.as_deref() == Some("serve") && opts.role.as_deref() == Some("worker") {
-        let store = engine.trace_store().cloned();
-        if let (Some(peers), Some(store)) = (&opts.peers, store) {
-            let siblings: Vec<String> = peers
-                .split(',')
-                .map(|peer| peer.trim().to_string())
-                .filter(|peer| !peer.is_empty())
-                .collect();
-            let store = store.clone();
-            engine = engine.with_peer_fetch(peer_fetch(siblings, store, Arc::clone(&recorder)));
-        }
-    }
     let engine = Arc::new(engine);
     Arc::clone(&engine).install();
 
@@ -723,9 +592,6 @@ fn main() -> ExitCode {
             ("--workers", opts.workers.is_some()),
             ("--queue-cap", opts.queue_cap.is_some()),
             ("--request-timeout-ms", opts.request_timeout_ms.is_some()),
-            ("--role", opts.role.is_some()),
-            ("--peers", opts.peers.is_some()),
-            ("--rate-limit", opts.rate_limit.is_some()),
         ];
         if let Some((flag, _)) = misplaced.iter().find(|(_, set)| *set) {
             eprintln!("error: flag '{flag}' only applies to `repro serve`");

@@ -317,7 +317,6 @@ pub fn status_text(status: u16) -> &'static str {
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         501 => "Not Implemented",
-        502 => "Bad Gateway",
         503 => "Service Unavailable",
         504 => "Gateway Timeout",
         505 => "HTTP Version Not Supported",
@@ -359,17 +358,6 @@ impl Response {
             content_type: "text/plain; version=0.0.4",
             extra_headers: Vec::new(),
             body: body.into_bytes(),
-        }
-    }
-
-    /// A binary response (used by the cluster peer-trace endpoint, which
-    /// ships packed trace files between sibling stores).
-    pub fn bytes(status: u16, body: Vec<u8>) -> Self {
-        Response {
-            status,
-            content_type: "application/octet-stream",
-            extra_headers: Vec::new(),
-            body,
         }
     }
 

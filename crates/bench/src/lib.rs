@@ -12,7 +12,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cluster;
 pub mod http;
 mod sched;
 pub mod serve;

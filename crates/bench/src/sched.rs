@@ -50,9 +50,9 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Estimated cost of one run: [`Experiment::weight`] × campaign window
 /// (warmup + measured instructions). The single definition both the HTTP
-/// layer (admission weighting, ETA hints) and the scheduler (largest-first
-/// dispatch) price runs with — computed once per request and carried in
-/// the queued entry, never re-derived during queue scans.
+/// layer (ETA hints) and the scheduler (largest-first dispatch) price
+/// runs with — computed once per request and carried in the queued entry,
+/// never re-derived during queue scans.
 pub(crate) fn estimated_cost(experiment: &Experiment, cfg: &ReproConfig) -> u64 {
     experiment.weight.saturating_mul(
         cfg.campaign

@@ -17,8 +17,6 @@
 //! | `GET /events[?limit=N]` | firehose: every live telemetry event on the daemon, as SSE |
 //! | `GET /metrics` | live Prometheus text exposition of the shared recorder |
 //! | `POST /cache/gc` | LRU-prune the on-disk cache and trace store ([`horizon_engine::GcReport`] JSON; `max_entries` / `max_trace_bytes` body options) |
-//! | `GET /peer/health` | cluster liveness view: load, queue depth, memo/trace-store sizes (polled by a [`crate::cluster`] router) |
-//! | `GET /peer/trace/{key}` | a packed trace's raw bytes by content address, for sibling cache peering |
 //!
 //! # Reports
 //!
@@ -157,10 +155,8 @@ impl Default for ServeOptions {
 
 /// Unix signal plumbing: a handler that flips one atomic flag, the only
 /// async-signal-safe thing worth doing. The accept loop polls the flag.
-/// Crate-visible so the cluster router's accept loop shares the same
-/// shutdown discipline.
 #[cfg(unix)]
-pub(crate) mod signal {
+mod signal {
     #![allow(unsafe_code)]
 
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -195,7 +191,7 @@ pub(crate) mod signal {
 }
 
 #[cfg(not(unix))]
-pub(crate) mod signal {
+mod signal {
     /// Non-unix builds have no signal-driven shutdown; use
     /// [`super::Server::shutdown_handle`].
     pub fn install() {}
@@ -207,7 +203,7 @@ pub(crate) mod signal {
 
 /// Error returned by [`Pool::try_submit`] when the queue is at capacity;
 /// carries the rejected item back so the caller can answer `503` on it.
-pub(crate) struct Saturated<T>(pub(crate) T);
+struct Saturated<T>(T);
 
 struct PoolShared<T> {
     queue: Mutex<VecDeque<T>>,
@@ -218,19 +214,14 @@ struct PoolShared<T> {
 
 /// A fixed-size worker pool over a bounded FIFO queue of `T`, each item
 /// handled by one shared handler function. Shutdown is draining: workers
-/// finish every queued item before exiting. Crate-visible: the cluster
-/// router reuses it for its own connection handling.
-pub(crate) struct Pool<T: Send + 'static> {
+/// finish every queued item before exiting.
+struct Pool<T: Send + 'static> {
     shared: Arc<PoolShared<T>>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl<T: Send + 'static> Pool<T> {
-    pub(crate) fn new(
-        workers: usize,
-        cap: usize,
-        handler: impl Fn(T) + Send + Sync + 'static,
-    ) -> Pool<T> {
+    fn new(workers: usize, cap: usize, handler: impl Fn(T) + Send + Sync + 'static) -> Pool<T> {
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
@@ -276,7 +267,7 @@ impl<T: Send + 'static> Pool<T> {
     }
 
     /// Enqueues `item` unless the queue is at capacity.
-    pub(crate) fn try_submit(&self, item: T) -> Result<(), Saturated<T>> {
+    fn try_submit(&self, item: T) -> Result<(), Saturated<T>> {
         {
             let mut queue = self.shared.queue.lock().expect("pool queue");
             if queue.len() >= self.shared.cap {
@@ -295,7 +286,7 @@ impl<T: Send + 'static> Pool<T> {
     }
 
     /// Drains the queue and joins every worker.
-    pub(crate) fn shutdown(self) {
+    fn shutdown(self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.ready.notify_all();
         for handle in self.handles {
@@ -612,8 +603,6 @@ fn route_label(request: &Request) -> &'static str {
         "/metrics" => "metrics",
         "/cache/gc" => "cache_gc",
         "/events" => "events",
-        "/peer/health" => "peer_health",
-        _ if path.starts_with("/peer/trace/") => "peer_trace",
         _ if path.starts_with("/run/") => "run",
         _ => "other",
     }
@@ -668,7 +657,7 @@ fn serve_stream(
 }
 
 /// One SSE frame: `event: <name>` + `data: <json>` + blank line.
-pub(crate) fn sse_frame(event: &str, data: &str) -> String {
+fn sse_frame(event: &str, data: &str) -> String {
     format!("event: {event}\ndata: {data}\n\n")
 }
 
@@ -679,20 +668,13 @@ fn route(state: &Arc<ServerState>, request: &Request) -> Response {
         ("GET", "/healthz") => healthz(state),
         ("GET", "/experiments") => experiments(),
         ("GET", "/metrics") => Response::text(200, state.recorder.prometheus_text()),
-        ("GET", "/peer/health") => peer_health(state),
-        ("GET", trace_path) if trace_path.starts_with("/peer/trace/") => {
-            peer_trace(state, &trace_path["/peer/trace/".len()..])
-        }
         ("POST", "/cache/gc") => cache_gc(state, request),
         ("POST", run_path) if run_path.starts_with("/run/") => {
             run(state, &run_path["/run/".len()..], request)
         }
         // `GET /events` never reaches this table — `stream_kind`
         // intercepts it — so any `/events` seen here is a bad method.
-        (_, "/healthz" | "/experiments" | "/metrics" | "/events" | "/peer/health") => {
-            Response::error(405, "method not allowed").with_header("Allow", "GET")
-        }
-        (_, trace_path) if trace_path.starts_with("/peer/trace/") => {
+        (_, "/healthz" | "/experiments" | "/metrics" | "/events") => {
             Response::error(405, "method not allowed").with_header("Allow", "GET")
         }
         (_, "/cache/gc") => Response::error(405, "method not allowed").with_header("Allow", "POST"),
@@ -703,15 +685,15 @@ fn route(state: &Arc<ServerState>, request: &Request) -> Response {
     }
 }
 
-pub(crate) fn json_str(s: &str) -> Value {
+fn json_str(s: &str) -> Value {
     Value::Str(s.to_string())
 }
 
-pub(crate) fn json_num(n: impl std::fmt::Display) -> Value {
+fn json_num(n: impl std::fmt::Display) -> Value {
     Value::Num(n.to_string())
 }
 
-pub(crate) fn to_json(value: &Value) -> String {
+fn to_json(value: &Value) -> String {
     serde_json::to_string(value).expect("value tree serializes")
 }
 
@@ -745,65 +727,8 @@ fn healthz(state: &ServerState) -> Response {
     Response::json(200, to_json(&body))
 }
 
-/// `GET /peer/health`: the compact liveness view a cluster router polls —
-/// current load (queued + executing runs), accept-queue depth, and warm
-/// cache sizes, so routing and failover decisions can weigh how hot this
-/// node is for its keys.
-fn peer_health(state: &ServerState) -> Response {
-    let (trace_entries, trace_bytes) = state
-        .engine
-        .trace_store()
-        .and_then(|store| store.index().ok())
-        .map(|index| {
-            let bytes: u64 = index.iter().map(|e| e.bytes).sum();
-            (index.len() as u64, bytes)
-        })
-        .unwrap_or((0, 0));
-    let body = Value::Map(vec![
-        ("role".into(), json_str("worker")),
-        ("load".into(), json_num(state.sched.pending())),
-        (
-            "queue_depth".into(),
-            json_num(state.queue_depth.load(Ordering::SeqCst)),
-        ),
-        ("memo_entries".into(), json_num(state.engine.memo_entries())),
-        ("trace_entries".into(), json_num(trace_entries)),
-        ("trace_bytes".into(), json_num(trace_bytes)),
-        (
-            "uptime_ms".into(),
-            json_num(state.started.elapsed().as_millis()),
-        ),
-    ]);
-    Response::json(200, to_json(&body))
-}
-
-/// `GET /peer/trace/{key}`: a packed trace's raw, pre-validated bytes by
-/// content address — the cache-peering read path a sibling worker hits on
-/// a trace-store miss before regenerating. The key must be a well-formed
-/// 32-hex-digit digest (anything else is 404, and never touches the
-/// filesystem); a daemon without a trace store has nothing to share.
-fn peer_trace(state: &ServerState, raw_key: &str) -> Response {
-    let Some(key) = horizon_engine::TraceKey::from_digest(raw_key) else {
-        return Response::error(404, "malformed trace key");
-    };
-    let Some(store) = state.engine.trace_store() else {
-        return Response::error(404, "no trace store configured for this daemon");
-    };
-    match store.load_bytes(&key) {
-        Some(bytes) => {
-            state
-                .recorder
-                .counter_add("tracestore.peer_served_bytes", bytes.len() as u64);
-            state.recorder.counter_add("tracestore.peer_served", 1);
-            Response::bytes(200, bytes)
-        }
-        None => Response::error(404, &format!("no trace stored under '{raw_key}'")),
-    }
-}
-
-/// `GET /experiments`: the registry as JSON. Crate-visible: the cluster
-/// router serves the identical document without a proxy hop.
-pub(crate) fn experiments() -> Response {
+/// `GET /experiments`: the registry as JSON.
+fn experiments() -> Response {
     let list: Vec<Value> = REGISTRY
         .iter()
         .map(|e| {
@@ -891,14 +816,14 @@ fn parse_gc_options(request: &Request) -> Result<GcOptions, HttpError> {
 }
 
 /// Per-request run options, mirroring the batch CLI flags.
-pub(crate) struct RunOptions {
-    pub(crate) quick: bool,
-    pub(crate) instructions: Option<u64>,
-    pub(crate) warmup: Option<u64>,
-    pub(crate) seed: Option<u64>,
-    pub(crate) jobs: Option<usize>,
-    pub(crate) deadline: Option<Duration>,
-    pub(crate) sampling: Option<SamplingPolicy>,
+struct RunOptions {
+    quick: bool,
+    instructions: Option<u64>,
+    warmup: Option<u64>,
+    seed: Option<u64>,
+    jobs: Option<usize>,
+    deadline: Option<Duration>,
+    sampling: Option<SamplingPolicy>,
 }
 
 fn parse_u64(value: &Value, key: &str) -> Result<u64, HttpError> {
@@ -1027,19 +952,19 @@ enum RunFormat {
 }
 
 /// Everything `POST /run` needs before touching the scheduler — shared
-/// by the framed handler, the SSE stream and the cluster router so all
-/// three validate (and fail) identically.
-pub(crate) struct PreparedRun {
-    pub(crate) experiment: &'static Experiment,
-    pub(crate) opts: RunOptions,
-    pub(crate) cfg: ReproConfig,
-    pub(crate) key: RunKey,
+/// by the framed handler and the SSE stream so both validate (and fail)
+/// identically.
+struct PreparedRun {
+    experiment: &'static Experiment,
+    opts: RunOptions,
+    cfg: ReproConfig,
+    key: RunKey,
     /// The scheduler's cost estimate (`weight` × campaign window), also
     /// the unit of the ETA cost model.
-    pub(crate) cost: u64,
+    cost: u64,
 }
 
-pub(crate) fn prepare_run(name: &str, request: &Request) -> Result<PreparedRun, Response> {
+fn prepare_run(name: &str, request: &Request) -> Result<PreparedRun, Response> {
     let Some(experiment) = find_experiment(name) else {
         let known: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
         return Err(Response::error(

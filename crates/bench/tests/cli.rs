@@ -431,6 +431,15 @@ fn unknown_flags_and_experiments_are_rejected() {
     assert_eq!(out.status.code(), Some(2), "missing flag value");
     let out = run(&["table1", "--otlp-out"]);
     assert_eq!(out.status.code(), Some(2), "missing flag value");
+    // Serve has no cluster flags.
+    for args in [
+        ["serve", "--role", "router"],
+        ["serve", "--peers", "127.0.0.1:1"],
+        ["serve", "--rate-limit", "5"],
+    ] {
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+    }
 }
 
 #[test]

@@ -502,6 +502,8 @@ fn daemon_rejects_malformed_requests_without_dying() {
     assert_eq!(status, 409, "no cache dir configured");
     let (status, _) = daemon.get("/nope");
     assert_eq!(status, 404);
+    let (status, _) = daemon.get("/peer/health");
+    assert_eq!(status, 404, "no peer routes on a single daemon");
 
     // Still healthy after the abuse.
     let (status, _) = daemon.get("/healthz");

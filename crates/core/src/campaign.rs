@@ -5,10 +5,8 @@
 //! paper's perf-counter experiments on seven physical systems.
 
 use horizon_simpoint::SimPointConfig;
-use horizon_trace::{TraceGenerator, WorkloadProfile};
-use horizon_uarch::{
-    CoreSimulator, Counters, FleetSimulator, MachineConfig, PowerModel, PowerReport,
-};
+use horizon_trace::{Instruction, TraceGenerator, WorkloadProfile};
+use horizon_uarch::{Counters, FleetSimulator, MachineConfig, PowerModel, PowerReport};
 use horizon_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, RwLock};
@@ -175,8 +173,8 @@ impl Campaign {
     /// steps every machine per instruction (see
     /// [`horizon_uarch::FleetSimulator`]) — fanning rows out across
     /// threads. Bypasses any installed executor (executors use
-    /// [`Campaign::measure_one`] / [`Campaign::measure_fleet`] instead, so
-    /// there is no recursion hazard either way).
+    /// [`Campaign::measure_fleet`] instead, so there is no recursion
+    /// hazard either way).
     pub fn measure_profiles_builtin(
         &self,
         profiles: &[WorkloadProfile],
@@ -194,7 +192,7 @@ impl Campaign {
         let mut rows: Vec<Vec<Measurement>> = Vec::with_capacity(profiles.len());
         if threads <= 1 || profiles.len() <= 1 {
             for p in profiles {
-                rows.push(self.measure_fleet(p, machines));
+                rows.push(self.measure_fleet(p, machines, || TraceGenerator::new(p, self.seed)));
             }
         } else {
             let chunk = profiles.len().div_ceil(threads);
@@ -203,7 +201,13 @@ impl Campaign {
                     .chunks(chunk)
                     .map(|ps| {
                         scope.spawn(move || {
-                            ps.iter().map(|p| self.measure_fleet(p, machines)).collect()
+                            ps.iter()
+                                .map(|p| {
+                                    self.measure_fleet(p, machines, || {
+                                        TraceGenerator::new(p, self.seed)
+                                    })
+                                })
+                                .collect()
                         })
                     })
                     .collect();
@@ -224,65 +228,42 @@ impl Campaign {
         }
     }
 
-    /// Simulates one workload on a whole fleet of machines from a single
-    /// trace expansion — bit-identical to calling
-    /// [`Campaign::measure_one`] once per machine, but the trace streams
-    /// once and structures shared between machine configurations are
-    /// simulated once (see [`horizon_uarch::FleetSimulator`]).
-    pub fn measure_fleet(
+    /// Simulates one workload on a whole fleet of machines: the trace
+    /// streams once and structures shared between machine configurations
+    /// are simulated once (see [`horizon_uarch::FleetSimulator`]).
+    ///
+    /// `source` is a restartable instruction source: every call must
+    /// return, from position 0, the stream
+    /// `TraceGenerator::new(profile, self.seed)` would expand, at least
+    /// `warmup + instructions` long — the generator itself, or a packed
+    /// trace replayed from `horizon-tracestore`. An exact campaign calls
+    /// it once; a SimPoint campaign calls it twice, once to fingerprint
+    /// the intervals and once for the stitched simulation (see
+    /// `horizon-simpoint`). Fully deterministic: the result depends only
+    /// on `(profile, machines, instructions, warmup, seed, sampling)`.
+    pub fn measure_fleet<I: Iterator<Item = Instruction>>(
         &self,
         profile: &WorkloadProfile,
         machines: &[MachineConfig],
+        mut source: impl FnMut() -> I,
     ) -> Vec<Measurement> {
-        if self.sampling.is_sampled() {
-            return self.measure_fleet_sampled(profile, machines, || {
-                TraceGenerator::new(profile, self.seed)
-            });
-        }
-        let fleet = FleetSimulator::new(machines).with_warmup(self.warmup).run(
-            profile,
-            self.instructions,
-            self.seed,
-        );
-        self.wrap_power(fleet, machines)
-    }
-
-    /// Phase-sampled measurement (see `horizon-simpoint`): fingerprints the
-    /// window once, then simulates only representative slices stitched
-    /// through one persistent fleet state and reconstructs the counters.
-    /// `mk_source` is invoked once for the fingerprint pass and once for
-    /// the stitched simulation; both invocations must return the same
-    /// stream `TraceGenerator::new(profile, self.seed)` would expand, from
-    /// position 0 (a packed-trace replay qualifies).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the campaign's sampling policy is [`SamplingPolicy::Exact`]
-    /// — callers decide between exact and sampled paths, this is the
-    /// sampled one.
-    pub fn measure_fleet_sampled<I: Iterator<Item = horizon_trace::Instruction>>(
-        &self,
-        profile: &WorkloadProfile,
-        machines: &[MachineConfig],
-        mk_source: impl FnMut() -> I,
-    ) -> Vec<Measurement> {
-        let config = self
-            .sampling
-            .simpoint_config()
-            .expect("measure_fleet_sampled requires a sampling policy");
-        let (_plan, fleet) = horizon_simpoint::sample_fleet(
-            &config,
-            profile,
-            machines,
-            self.warmup,
-            self.instructions,
-            mk_source,
-        );
-        self.wrap_power(fleet, machines)
-    }
-
-    fn wrap_power(&self, fleet: Vec<Counters>, machines: &[MachineConfig]) -> Vec<Measurement> {
-        fleet
+        let counters = match self.sampling.simpoint_config() {
+            None => FleetSimulator::new(machines)
+                .with_warmup(self.warmup)
+                .run_trace(profile, self.instructions, source()),
+            Some(config) => {
+                horizon_simpoint::sample_fleet(
+                    &config,
+                    profile,
+                    machines,
+                    self.warmup,
+                    self.instructions,
+                    source,
+                )
+                .1
+            }
+        };
+        counters
             .into_iter()
             .zip(machines)
             .map(|(counters, machine)| {
@@ -290,45 +271,6 @@ impl Campaign {
                 Measurement { counters, power }
             })
             .collect()
-    }
-
-    /// [`Campaign::measure_fleet`] with the instruction stream supplied by
-    /// the caller — the replay entry point. The source must reproduce the
-    /// stream `TraceGenerator::new(profile, self.seed)` would expand (e.g.
-    /// a packed trace from `horizon-tracestore`) and must yield at least
-    /// `self.warmup + self.instructions` items; measurements are then
-    /// bit-identical to [`Campaign::measure_fleet`].
-    pub fn measure_fleet_trace(
-        &self,
-        profile: &WorkloadProfile,
-        machines: &[MachineConfig],
-        source: impl Iterator<Item = horizon_trace::Instruction>,
-    ) -> Vec<Measurement> {
-        let fleet = FleetSimulator::new(machines)
-            .with_warmup(self.warmup)
-            .run_trace(profile, self.instructions, source);
-        self.wrap_power(fleet, machines)
-    }
-
-    /// Simulates a single (workload, machine) cell — the primitive every
-    /// backend is built from. Fully deterministic: the result depends only
-    /// on `(profile, machine, instructions, warmup, seed, sampling)`.
-    pub fn measure_one(&self, profile: &WorkloadProfile, machine: &MachineConfig) -> Measurement {
-        if self.sampling.is_sampled() {
-            return self
-                .measure_fleet_sampled(profile, std::slice::from_ref(machine), || {
-                    TraceGenerator::new(profile, self.seed)
-                })
-                .pop()
-                .expect("one machine, one measurement");
-        }
-        let counters = CoreSimulator::new(machine).with_warmup(self.warmup).run(
-            profile,
-            self.instructions,
-            self.seed,
-        );
-        let power = PowerModel::for_machine(machine).estimate(&counters, machine);
-        Measurement { counters, power }
     }
 }
 

@@ -202,7 +202,22 @@ fn touch(path: &Path) {
 mod tests {
     use super::*;
     use horizon_core::campaign::Campaign;
+    use horizon_trace::{TraceGenerator, WorkloadProfile};
     use horizon_uarch::MachineConfig;
+
+    /// One (profile, machine) cell through the fleet entry point.
+    fn measure_cell(
+        campaign: &Campaign,
+        profile: &WorkloadProfile,
+        machine: &MachineConfig,
+    ) -> Measurement {
+        campaign
+            .measure_fleet(profile, std::slice::from_ref(machine), || {
+                TraceGenerator::new(profile, campaign.seed)
+            })
+            .pop()
+            .expect("one machine, one measurement")
+    }
 
     fn sample() -> (Fingerprint, Measurement) {
         let campaign = Campaign {
@@ -214,7 +229,7 @@ mod tests {
         let profile = horizon_workloads::cpu2017::all()[0].profile().clone();
         let machine = MachineConfig::skylake_i7_6700();
         let fp = Fingerprint::of_job(&campaign, &profile, &machine);
-        let m = campaign.measure_one(&profile, &machine);
+        let m = measure_cell(&campaign, &profile, &machine);
         (fp, m)
     }
 
@@ -282,7 +297,7 @@ mod tests {
                     ..Campaign::default()
                 };
                 let fp = Fingerprint::of_job(&campaign, &profile, &machine);
-                let m = campaign.measure_one(&profile, &machine);
+                let m = measure_cell(&campaign, &profile, &machine);
                 (fp, m)
             })
             .collect()

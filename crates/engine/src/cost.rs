@@ -9,10 +9,7 @@
 
 use horizon_core::campaign::Campaign;
 use horizon_trace::WorkloadProfile;
-
-/// Mirrors `CoreSimulator`'s pre-warm region cut-off: DRAM-scale regions
-/// are not walked during warmup, so they cost nothing up front.
-const PREWARM_LIMIT: u64 = 6 << 20;
+use horizon_uarch::prewarm_regions;
 
 /// Estimated cost of simulating one `(profile, machine)` job, in simulated
 /// "instruction equivalents": the trace window (measured + warmup
@@ -27,20 +24,13 @@ pub fn estimated_cost(campaign: &Campaign, profile: &WorkloadProfile) -> u64 {
     let memory_weight = 1.0 + mix.loads + mix.stores;
     let weighted_window = (window as f64 * memory_weight) as u64;
 
-    let mut prewarm_lines = 0u64;
-    if campaign.warmup > 0 {
-        for (_, bytes) in horizon_trace::region_layout(profile) {
-            if bytes <= PREWARM_LIMIT {
-                prewarm_lines += bytes / 64;
-            }
-        }
-        let (_, code_bytes) = horizon_trace::hot_code_layout(profile);
-        prewarm_lines += code_bytes / 64;
-        if profile.kernel_fraction() > 0.0 {
-            let (_, kernel_bytes) = horizon_trace::kernel_code_layout();
-            prewarm_lines += kernel_bytes / 64;
-        }
-    }
+    // DRAM-scale regions are not walked during warmup, so they cost
+    // nothing up front.
+    let prewarm_lines: u64 = if campaign.warmup > 0 {
+        prewarm_regions(profile).iter().map(|r| r.bytes / 64).sum()
+    } else {
+        0
+    };
     weighted_window + prewarm_lines
 }
 

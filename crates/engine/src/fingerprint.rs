@@ -69,17 +69,6 @@ impl Fingerprint {
         Fingerprint(fnv1a_128_hex(canonical.as_bytes()))
     }
 
-    /// Fingerprints an arbitrary canonical byte string with the same
-    /// 128-bit FNV-1a digest the job and profile fingerprints use. This
-    /// is the routing-key entry point for the serve cluster: the router
-    /// canonicalizes a run request into bytes and hashes them here, so a
-    /// run's shard assignment is derived from the same content-addressing
-    /// scheme that keys the memo table and disk cache. Callers own the
-    /// canonicalization; two byte-identical inputs always collide.
-    pub fn of_canonical(bytes: &[u8]) -> Self {
-        Fingerprint(fnv1a_128_hex(bytes))
-    }
-
     /// The hex digest.
     pub fn as_str(&self) -> &str {
         &self.0
@@ -182,15 +171,6 @@ mod tests {
             Fingerprint::of_job(&sampled, &p, &m),
             Fingerprint::of_job(&other_knobs, &p, &m)
         );
-    }
-
-    #[test]
-    fn canonical_digest_is_stable_and_input_sensitive() {
-        let a = Fingerprint::of_canonical(b"route:table1:quick");
-        assert_eq!(a, Fingerprint::of_canonical(b"route:table1:quick"));
-        assert_ne!(a, Fingerprint::of_canonical(b"route:table2:quick"));
-        assert_eq!(a.as_str().len(), 32);
-        assert!(a.as_str().chars().all(|ch| ch.is_ascii_hexdigit()));
     }
 
     #[test]

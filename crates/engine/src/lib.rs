@@ -84,13 +84,13 @@ pub use stats::{EngineStats, JobTiming};
 // The trace-store types a CLI needs to manage the store the engine reads
 // and writes (GC passes, direct inspection), re-exported so callers don't
 // grow their own `horizon-tracestore` dependency.
-pub use horizon_tracestore::{TraceGc, TraceKey, TraceReader, TraceStore};
+pub use horizon_tracestore::{TraceGc, TraceKey, TraceStore};
 
 use crate::inflight::{Claim, FollowerTicket, InflightTable, LeaderGuard};
 use horizon_core::campaign::{Campaign, CampaignExecutor, CampaignResult, Measurement};
-use horizon_telemetry::Recorder;
+use horizon_telemetry::{Recorder, Span};
 use horizon_trace::{Instruction, TraceGenerator, WorkloadProfile};
-use horizon_tracestore::PendingTrace;
+use horizon_tracestore::{PendingTrace, TraceReader};
 use horizon_uarch::MachineConfig;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -114,13 +114,6 @@ pub struct ProgressEvent {
 
 type ProgressCallback = Box<dyn Fn(&ProgressEvent) + Send + Sync>;
 
-/// A cluster hook consulted on trace-store miss: given the missing key,
-/// fetch the packed trace from a sibling node's store (and typically
-/// install it locally) before the engine falls back to regeneration.
-/// Returning `None` means "no sibling had it" — strictly best-effort,
-/// like every other cache layer.
-type PeerFetch = Box<dyn Fn(&TraceKey) -> Option<TraceReader> + Send + Sync>;
-
 /// The execution engine. Cheap to construct; hold one for the process
 /// lifetime to maximize memoization.
 pub struct Engine {
@@ -135,7 +128,6 @@ pub struct Engine {
     inflight: InflightTable,
     recorder: Arc<Recorder>,
     progress: Option<ProgressCallback>,
-    peer_fetch: Option<PeerFetch>,
 }
 
 impl Default for Engine {
@@ -156,7 +148,6 @@ impl Engine {
             inflight: InflightTable::default(),
             recorder: Arc::new(Recorder::new()),
             progress: None,
-            peer_fetch: None,
         }
     }
 
@@ -257,22 +248,6 @@ impl Engine {
         self.inflight.waiting()
     }
 
-    /// Registers a cluster peer-fetch hook, consulted when a trace-store
-    /// probe misses: the hook may stream the packed trace from a sibling
-    /// node's store (installing it locally so the next probe hits) and the
-    /// engine replays it instead of regenerating. A `None` return, a
-    /// window mismatch, or any hook failure degrades to plain
-    /// regeneration — peering can only change wall clock, never results.
-    /// Counted as `tracestore.peer_hits` / `tracestore.peer_misses`.
-    #[must_use]
-    pub fn with_peer_fetch(
-        mut self,
-        fetch: impl Fn(&TraceKey) -> Option<TraceReader> + Send + Sync + 'static,
-    ) -> Self {
-        self.peer_fetch = Some(Box::new(fetch));
-        self
-    }
-
     /// Registers a progress callback, invoked once per unique job as it
     /// resolves (possibly from worker threads).
     #[must_use]
@@ -368,6 +343,7 @@ impl Engine {
         // unstarted (we lead it). There is no window in which two
         // campaigns can both decide to simulate the same fingerprint.
         let probe_span = rec.phase_span("engine.probe");
+        let probe_id = probe_span.id();
         let mut resolved: Vec<Option<Measurement>> = vec![None; jobs.len()];
         let mut leaders: Vec<Option<LeaderGuard<'_>>> = Vec::with_capacity(jobs.len());
         let mut followers: Vec<(usize, FollowerTicket)> = Vec::new();
@@ -380,10 +356,7 @@ impl Engine {
                     resolved[id] = Some(m.clone());
                     memo_hits += 1;
                     let (w, mach) = jobs[id];
-                    let mut span = rec.span("engine.job");
-                    span.record("workload", profiles[w].name());
-                    span.record("machine", machines[mach].name.as_str());
-                    span.record("outcome", "memo");
+                    drop(self.job_span(probe_id, &profiles[w], &machines[mach], "memo"));
                     leaders.push(None);
                 } else {
                     match self.inflight.claim(fp) {
@@ -409,10 +382,7 @@ impl Engine {
                         resolved[id] = Some(m);
                         disk_hits += 1;
                         let (w, mach) = jobs[id];
-                        let mut span = rec.span("engine.job");
-                        span.record("workload", profiles[w].name());
-                        span.record("machine", machines[mach].name.as_str());
-                        span.record("outcome", "disk");
+                        drop(self.job_span(probe_id, &profiles[w], &machines[mach], "disk"));
                     }
                 }
             }
@@ -540,11 +510,12 @@ impl Engine {
                                 let (jw, jm) = jobs[id];
                                 let wall_nanos = share + u64::from((k as u64) < extra);
                                 rec.histogram_record("engine.queue_wait_ns", queue_wait);
-                                let mut job_span = rec.span("engine.job");
-                                job_span.set_parent(campaign_id);
-                                job_span.record("workload", profiles[jw].name());
-                                job_span.record("machine", machines[jm].name.as_str());
-                                job_span.record("outcome", "simulated");
+                                let mut job_span = self.job_span(
+                                    campaign_id,
+                                    &profiles[jw],
+                                    &machines[jm],
+                                    "simulated",
+                                );
                                 job_span.record(
                                     "instructions",
                                     campaign.instructions + campaign.warmup,
@@ -591,12 +562,7 @@ impl Engine {
             let (w, mach) = jobs[id];
             match ticket.wait() {
                 Ok(m) => {
-                    let mut span = rec.span("engine.job");
-                    span.set_parent(campaign_id);
-                    span.record("workload", profiles[w].name());
-                    span.record("machine", machines[mach].name.as_str());
-                    span.record("outcome", "coalesced");
-                    drop(span);
+                    drop(self.job_span(campaign_id, &profiles[w], &machines[mach], "coalesced"));
                     resolved[id] = Some(m);
                     self.emit_progress(&completed, total, &profiles[w], &machines[mach], true);
                 }
@@ -663,138 +629,99 @@ impl Engine {
         CampaignResult::from_grid(workload_names, machine_names, grid)
     }
 
-    /// Measures one fleet batch, routing the instruction stream through
-    /// the trace store when one is attached: a stored `(profile, seed,
-    /// window)` trace is replayed instead of re-expanded, and a miss
-    /// tees the freshly generated stream into the store for every later
-    /// batch (any machine set, any campaign, any process) that shares it.
-    /// Replay is bit-identical to regeneration, so this can only change
-    /// wall clock, never measurements. Store failures at any point fall
-    /// back to plain generation.
+    /// Opens the `engine.job` span of one resolved job under `parent`,
+    /// recording its `workload`, `machine` and `outcome` (`"memo"`,
+    /// `"disk"`, `"simulated"` or `"coalesced"`). Cache hits resolve on
+    /// the campaign thread under `engine.probe`; simulated and coalesced
+    /// jobs resolve on workers or after the pool drains and hang off the
+    /// campaign span. Callers add outcome-specific fields before the span
+    /// drops.
+    fn job_span(
+        &self,
+        parent: Option<u64>,
+        profile: &WorkloadProfile,
+        machine: &MachineConfig,
+        outcome: &'static str,
+    ) -> Span {
+        let mut span = self.recorder.span("engine.job");
+        span.set_parent(parent);
+        span.record("workload", profile.name());
+        span.record("machine", machine.name.as_str());
+        span.record("outcome", outcome);
+        span
+    }
+
+    /// Measures one fleet batch through [`Campaign::measure_fleet`],
+    /// choosing the instruction source once. With a trace store attached,
+    /// a stored `(profile, seed, window)` trace is replayed instead of
+    /// re-expanded. On a store miss an exact campaign tees the generated
+    /// stream into the store while it simulates, and a sampled campaign —
+    /// which reads the stream twice — materializes the packed trace first
+    /// and replays it for both passes; either way every later batch (any
+    /// machine set, any campaign, any process) that shares the trace
+    /// replays it. With no store, or when the store fails at any point,
+    /// the generator is the source. Replay is bit-identical to
+    /// regeneration, so this can only change wall clock, never
+    /// measurements.
     fn measure_batch(
         &self,
         campaign: &Campaign,
         profile: &WorkloadProfile,
         machines: &[MachineConfig],
     ) -> Vec<Measurement> {
-        if campaign.sampling.is_sampled() {
-            return self.measure_batch_sampled(campaign, profile, machines);
-        }
-        let Some(store) = &self.traces else {
-            return campaign.measure_fleet(profile, machines);
-        };
         let window = campaign.warmup + campaign.instructions;
+        let generate = || TraceGenerator::new(profile, campaign.seed).take(window as usize);
+        let Some(store) = &self.traces else {
+            return campaign.measure_fleet(profile, machines, generate);
+        };
         let key = TraceKey::of(profile, campaign.seed, window);
-        if let Some(reader) = store.load(&key) {
-            if reader.instructions() == window {
-                self.recorder.counter_add("tracestore.hits", 1);
-                self.recorder
-                    .counter_add("tracestore.bytes_read", reader.packed_bytes());
-                return campaign.measure_fleet_trace(profile, machines, reader.iter());
-            }
+        let rec = &self.recorder;
+        let replay = |reader: TraceReader| {
+            rec.counter_add("tracestore.bytes_read", reader.packed_bytes());
+            campaign.measure_fleet(profile, machines, || reader.iter())
+        };
+        if let Some(reader) = store.load(&key).filter(|r| r.instructions() == window) {
+            rec.counter_add("tracestore.hits", 1);
+            return replay(reader);
         }
-        self.recorder.counter_add("tracestore.misses", 1);
-        if let Some(reader) = self.fetch_peer_trace(&key, window) {
-            return campaign.measure_fleet_trace(profile, machines, reader.iter());
-        }
+        rec.counter_add("tracestore.misses", 1);
         let Ok(mut pending) = store.begin(&key, window) else {
             // Store directory unusable (permissions, disk full): simulate
             // without it rather than failing the campaign.
-            return campaign.measure_fleet(profile, machines);
+            return campaign.measure_fleet(profile, machines, generate);
         };
+        let count_written = |bytes: u64| {
+            rec.counter_add("tracestore.bytes_written", bytes);
+            rec.counter_add("tracestore.instructions_written", window);
+        };
+        if campaign.sampling.is_sampled() {
+            let stored = generate()
+                .try_for_each(|inst| pending.push(&inst))
+                .and_then(|()| pending.publish())
+                .ok()
+                .inspect(|&bytes| count_written(bytes))
+                .and_then(|_| store.load(&key))
+                .filter(|r| r.instructions() == window);
+            return match stored {
+                Some(reader) => replay(reader),
+                None => campaign.measure_fleet(profile, machines, generate),
+            };
+        }
         let mut ok = true;
-        let source = Tee {
-            inner: TraceGenerator::new(profile, campaign.seed).take(window as usize),
+        let mut tee = Some(Tee {
+            inner: generate(),
             sink: &mut pending,
             ok: &mut ok,
-        };
-        let measurements = campaign.measure_fleet_trace(profile, machines, source);
+        });
+        let measurements = campaign.measure_fleet(profile, machines, || {
+            tee.take().expect("an exact campaign reads its source once")
+        });
         if ok {
             if let Ok(bytes) = pending.publish() {
-                self.recorder.counter_add("tracestore.bytes_written", bytes);
-                self.recorder
-                    .counter_add("tracestore.instructions_written", window);
+                count_written(bytes);
             }
         }
         measurements
-    }
-
-    /// Measures one phase-sampled fleet batch. Sampling consumes the
-    /// stream twice — once to fingerprint the intervals, once for the
-    /// stitched simulation — so with a trace store attached, a store miss
-    /// first materializes the packed trace *without simulating* and both
-    /// passes then replay it; without a store (or when the store fails)
-    /// each pass re-expands the generator. Either source yields identical
-    /// measurements, so store state still never affects results.
-    fn measure_batch_sampled(
-        &self,
-        campaign: &Campaign,
-        profile: &WorkloadProfile,
-        machines: &[MachineConfig],
-    ) -> Vec<Measurement> {
-        let window = campaign.warmup + campaign.instructions;
-        if let Some(store) = &self.traces {
-            let key = TraceKey::of(profile, campaign.seed, window);
-            if let Some(reader) = store.load(&key) {
-                if reader.instructions() == window {
-                    self.recorder.counter_add("tracestore.hits", 1);
-                    self.recorder
-                        .counter_add("tracestore.bytes_read", reader.packed_bytes());
-                    return campaign.measure_fleet_sampled(profile, machines, || reader.iter());
-                }
-            }
-            self.recorder.counter_add("tracestore.misses", 1);
-            if let Some(reader) = self.fetch_peer_trace(&key, window) {
-                return campaign.measure_fleet_sampled(profile, machines, || reader.iter());
-            }
-            if let Some(reader) = self.materialize_trace(campaign, profile, window) {
-                self.recorder
-                    .counter_add("tracestore.bytes_read", reader.packed_bytes());
-                return campaign.measure_fleet_sampled(profile, machines, || reader.iter());
-            }
-        }
-        // `measure_fleet` routes sampled campaigns to the generator-backed
-        // sampled path itself.
-        campaign.measure_fleet(profile, machines)
-    }
-
-    /// Consults the peer-fetch hook for a missing trace. `None` when no
-    /// hook is installed, the hook finds nothing, or the fetched trace's
-    /// window disagrees with the requested one (a sibling running a
-    /// different schema — discard rather than mis-replay).
-    fn fetch_peer_trace(&self, key: &TraceKey, window: u64) -> Option<TraceReader> {
-        let fetch = self.peer_fetch.as_ref()?;
-        let Some(reader) = fetch(key).filter(|r| r.instructions() == window) else {
-            self.recorder.counter_add("tracestore.peer_misses", 1);
-            return None;
-        };
-        self.recorder.counter_add("tracestore.peer_hits", 1);
-        self.recorder
-            .counter_add("tracestore.bytes_read", reader.packed_bytes());
-        Some(reader)
-    }
-
-    /// Expands the `(profile, seed)` stream into the trace store without
-    /// simulating anything and reopens it for replay. `None` on any store
-    /// failure — callers fall back to the generator.
-    fn materialize_trace(
-        &self,
-        campaign: &Campaign,
-        profile: &WorkloadProfile,
-        window: u64,
-    ) -> Option<TraceReader> {
-        let store = self.traces.as_ref()?;
-        let key = TraceKey::of(profile, campaign.seed, window);
-        let mut pending = store.begin(&key, window).ok()?;
-        for inst in TraceGenerator::new(profile, campaign.seed).take(window as usize) {
-            pending.push(&inst).ok()?;
-        }
-        let bytes = pending.publish().ok()?;
-        self.recorder.counter_add("tracestore.bytes_written", bytes);
-        self.recorder
-            .counter_add("tracestore.instructions_written", window);
-        let reader = store.load(&key)?;
-        (reader.instructions() == window).then_some(reader)
     }
 
     fn emit_progress(

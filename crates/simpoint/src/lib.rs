@@ -13,8 +13,8 @@
 //!    ([`horizon_cluster::kmeans`]),
 //! 4. simulate only each cluster's **representative** interval, stitched
 //!    in trace order through **one** persistent [`FleetSimulator`] state
-//!    (cache/TLB state carries across the gaps; skipped branch outcomes
-//!    still train the predictors — functional warming), and
+//!    (skipped instructions still update every cache, TLB and predictor
+//!    — functional warming), and
 //! 5. reconstruct full-window counters as `Σ weight_c × counters(rep_c)`.
 //!
 //! The result is approximate by design; its contract is a *measured* error
@@ -330,10 +330,9 @@ pub fn plan(
 /// **warm-bubble** of up to one interval of full-state warming (detailed
 /// simulation with measurement disabled), re-establishing the recent
 /// cache working set before counters are read; the rest of every skipped
-/// stretch runs light functional warming (branch outcomes and TLB probes
-/// only), so predictors and TLBs stay exactly on the full run's training
-/// trajectory while cache state beyond the bubble carries across the gap
-/// (the quasi-stationarity approximation). The weighted sum
+/// stretch is functionally warmed (every cache, TLB and predictor update,
+/// unmeasured), so all structures stay exactly on the full run's
+/// trajectory. The weighted sum
 /// `Σ weight × counters(rep)` is then taken field-wise and the CPI stack
 /// recomputed from the reconstructed totals.
 pub fn simulate(
@@ -356,9 +355,7 @@ pub fn simulate(
         });
         pos = warmup + phase.end;
     }
-    let per_phase = FleetSimulator::new(machines)
-        .with_functional_warming(true)
-        .run_trace_segments(profile, &segments, source);
+    let per_phase = FleetSimulator::new(machines).run_trace_segments(profile, &segments, source);
 
     let mut acc = vec![Counters::default(); machines.len()];
     for (counters, phase) in per_phase.iter().zip(&simpoint_plan.phases) {

@@ -490,18 +490,6 @@ impl TraceReader {
         self.bytes.len() as u64
     }
 
-    /// The validated packed representation, header included — suitable
-    /// for shipping to a cluster sibling or re-persisting verbatim.
-    pub fn packed(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Consumes the reader, yielding the packed representation without
-    /// copying.
-    pub fn into_packed(self) -> Vec<u8> {
-        self.bytes
-    }
-
     /// An infallible decoding iterator over the trace, from the start.
     pub fn iter(&self) -> Replay<'_> {
         Replay {

@@ -55,19 +55,6 @@ impl TraceKey {
     pub fn as_str(&self) -> &str {
         &self.0
     }
-
-    /// Reconstructs a key from its hex digest, e.g. one received over the
-    /// wire from a cluster sibling. Returns `None` unless `digest` is
-    /// exactly 32 lowercase hex digits — the only shape [`TraceKey::of`]
-    /// produces — which also makes the digest safe to embed in a store
-    /// file name without any path-traversal concern.
-    pub fn from_digest(digest: &str) -> Option<Self> {
-        let valid = digest.len() == 32
-            && digest
-                .bytes()
-                .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b));
-        valid.then(|| TraceKey(digest.to_string()))
-    }
 }
 
 impl std::fmt::Display for TraceKey {
@@ -155,40 +142,6 @@ impl TraceStore {
         let path = self.trace_path(key);
         let reader = TraceReader::open(&path).ok()?;
         touch(&path);
-        Some(reader)
-    }
-
-    /// Reads a stored trace's raw packed bytes, validating them before
-    /// returning — a sibling node fetching over the peer protocol should
-    /// never receive a file that would fail validation on arrival. `None`
-    /// on any miss or validation failure. A hit bumps mtime like
-    /// [`TraceStore::load`] so peered reads keep an entry warm.
-    pub fn load_bytes(&self, key: &TraceKey) -> Option<Vec<u8>> {
-        let path = self.trace_path(key);
-        let reader = TraceReader::open(&path).ok()?;
-        touch(&path);
-        Some(reader.into_packed())
-    }
-
-    /// Installs packed bytes received from elsewhere (a cluster sibling's
-    /// store) under `key`, validating them first and publishing with the
-    /// same atomic temp-file-then-rename discipline as a local write. On
-    /// success the validated reader is returned so the caller can replay
-    /// immediately without re-reading the file. `None` if the bytes fail
-    /// validation or the write fails — the store is unchanged either way.
-    pub fn install_bytes(&self, key: &TraceKey, bytes: Vec<u8>) -> Option<TraceReader> {
-        let reader = TraceReader::new(bytes).ok()?;
-        let tmp = self
-            .dir
-            .join(format!(".{key}.{}.peer.tmp", std::process::id()));
-        let write = || -> std::io::Result<()> {
-            std::fs::write(&tmp, reader.packed())?;
-            std::fs::rename(&tmp, self.trace_path(key))
-        };
-        if write().is_err() {
-            let _ = std::fs::remove_file(&tmp);
-            return None;
-        }
         Some(reader)
     }
 
@@ -621,54 +574,6 @@ mod tests {
         assert!(!orphan_path.exists());
         assert!(store.load(&key).is_some());
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn from_digest_accepts_only_well_formed_keys() {
-        let profile = sample_profile();
-        let key = TraceKey::of(&profile, 42, 5_000);
-        let round_tripped = TraceKey::from_digest(key.as_str()).expect("own digest parses");
-        assert_eq!(round_tripped, key);
-        for bad in [
-            "",
-            "short",
-            "../../../../etc/passwd/0123456789abcdef",
-            "0123456789abcdef0123456789abcdeX",
-            "0123456789ABCDEF0123456789ABCDEF", // uppercase never produced
-            "0123456789abcdef0123456789abcdef0", // 33 digits
-        ] {
-            assert!(TraceKey::from_digest(bad).is_none(), "{bad:?} accepted");
-        }
-    }
-
-    #[test]
-    fn peer_bytes_round_trip_between_stores() {
-        let src_dir = temp_dir("peer-src");
-        let dst_dir = temp_dir("peer-dst");
-        let src = TraceStore::open(&src_dir).unwrap();
-        let dst = TraceStore::open(&dst_dir).unwrap();
-        let profile = sample_profile();
-        let key = TraceKey::of(&profile, 13, 4_000);
-        write_trace(&src, &key, &profile, 13, 4_000);
-
-        // "Wire transfer": raw bytes out of one store, installed into the
-        // sibling. The installed entry must replay bit-identically.
-        let bytes = src.load_bytes(&key).expect("published trace reads");
-        assert!(dst.load(&key).is_none());
-        let reader = dst.install_bytes(&key, bytes).expect("valid bytes install");
-        assert_eq!(reader.instructions(), 4_000);
-        let local: Vec<Instruction> = src.load(&key).unwrap().iter().collect();
-        let peered: Vec<Instruction> = dst.load(&key).unwrap().iter().collect();
-        assert_eq!(local, peered);
-
-        // Corrupt bytes are rejected and leave the store unchanged.
-        let other = TraceKey::of(&profile, 14, 4_000);
-        assert!(dst.install_bytes(&other, b"not a trace".to_vec()).is_none());
-        assert!(dst.load(&other).is_none());
-        assert_eq!(dst.index().unwrap().len(), 1, "no debris from rejection");
-
-        std::fs::remove_dir_all(&src_dir).unwrap();
-        std::fs::remove_dir_all(&dst_dir).unwrap();
     }
 
     #[test]

@@ -56,7 +56,7 @@ use crate::cache::CacheConfig;
 use crate::counters::Counters;
 use crate::hierarchy::{AccessKind, DataFront, HierarchyConfig, L2Back, PrefetchConfig};
 use crate::machine::MachineConfig;
-use crate::simulator::PREWARM_LIMIT;
+use crate::prewarm::prewarm_regions;
 use crate::tlb::{Tlb, TlbConfig, TlbHierarchyConfig};
 use crate::topdown::CpiStack;
 
@@ -221,8 +221,8 @@ struct GroupSnapshots {
 
 /// One contiguous stretch of the trace handed to
 /// [`FleetSimulator::run_trace_segments`]: `skip` instructions are dropped
-/// from the stream (optionally with branch-outcome functional warming),
-/// then `warmup` instructions run detailed but unmeasured, then `measure`
+/// from the measured stream (functionally warmed, never counted), then
+/// `warmup` instructions run detailed but unmeasured, then `measure`
 /// instructions are counted. Microarchitectural state persists across
 /// segments — that carry-over is the stitched-sampling approximation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,8 +261,6 @@ pub struct FleetSimulator {
     machines: Vec<MachineConfig>,
     /// Instructions to run before counters start (cold-start warmup).
     warmup: u64,
-    /// Train branch predictors on skipped segment regions.
-    functional_warming: bool,
 }
 
 impl FleetSimulator {
@@ -272,27 +270,12 @@ impl FleetSimulator {
         FleetSimulator {
             machines: machines.to_vec(),
             warmup: 0,
-            functional_warming: false,
         }
     }
 
     /// Sets the warmup instruction count applied to every machine.
     pub fn with_warmup(mut self, instructions: u64) -> Self {
         self.warmup = instructions;
-        self
-    }
-
-    /// Enables SMARTS-style functional warming of skipped regions in
-    /// [`FleetSimulator::run_trace_segments`]: skipped instructions still
-    /// perform every cache, TLB and predictor state update (with
-    /// measurement disabled), so all structures — including slow-training
-    /// TAGE tables and slow-filling last-level caches — enter each
-    /// measured segment with exactly the state the full run would have
-    /// had. Only the measured footprint shrinks; reconstruction error is
-    /// then pure sampling error, never state staleness. Has no effect on
-    /// [`FleetSimulator::run_trace`], which skips nothing.
-    pub fn with_functional_warming(mut self, enabled: bool) -> Self {
-        self.functional_warming = enabled;
         self
     }
 
@@ -337,11 +320,13 @@ impl FleetSimulator {
     /// index: segment; inner: [`FleetSimulator::machines`] order).
     ///
     /// This is the stitched-sampling entry point: skipped instructions
-    /// are dropped from the measured stream. With
-    /// [`FleetSimulator::with_functional_warming`] set they still run the
-    /// full state update (unmeasured), keeping every structure exactly on
-    /// the full run's trajectory; without it they are skipped outright
-    /// and state carries across the gap unchanged. The simulator's own
+    /// are dropped from the measured stream but are *functionally warmed*
+    /// SMARTS-style — they still perform every cache, TLB and predictor
+    /// state update with measurement disabled, so all structures (slow-
+    /// training TAGE tables and slow-filling last-level caches included)
+    /// enter each measured segment with exactly the state the full run
+    /// would have had. Reconstruction error is then pure sampling error,
+    /// never state staleness. The simulator's own
     /// `warmup` runs detailed at the head of the stream, before the
     /// first segment; [`FleetSimulator::run_trace`] is exactly a
     /// single-segment call, so the two paths cannot drift.
@@ -372,14 +357,8 @@ impl FleetSimulator {
 
         let mut out = Vec::with_capacity(segments.len());
         for seg in segments {
-            if seg.skip > 0 {
-                if self.functional_warming {
-                    for inst in gen.by_ref().take(seg.skip as usize) {
-                        fleet.warm_skipped(&inst);
-                    }
-                } else {
-                    gen.by_ref().nth(seg.skip as usize - 1);
-                }
+            for inst in gen.by_ref().take(seg.skip as usize) {
+                fleet.warm_skipped(&inst);
             }
             for inst in gen.by_ref().take(seg.warmup as usize) {
                 fleet.step(&inst, false);
@@ -756,21 +735,10 @@ impl FleetState {
     /// batches, and one region walk warms every lane of every group. Per
     /// structure the probe sequence is identical to a per-machine prewarm.
     fn prewarm(&mut self, profile: &WorkloadProfile) {
-        for (base, bytes) in horizon_trace::region_layout(profile) {
-            if bytes <= PREWARM_LIMIT {
-                for addr in (base..base + bytes).step_by(64) {
-                    self.prewarm_data(addr);
-                }
-            }
-        }
-        let (code_base, code_bytes) = horizon_trace::hot_code_layout(profile);
-        for addr in (code_base..code_base + code_bytes).step_by(64) {
-            self.prewarm_fetch(addr);
-        }
-        if profile.kernel_fraction() > 0.0 {
-            let (kbase, kbytes) = horizon_trace::kernel_code_layout();
-            for addr in (kbase..kbase + kbytes).step_by(64) {
-                self.prewarm_fetch(addr);
+        for region in prewarm_regions(profile) {
+            match region.kind {
+                AccessKind::Data => region.lines().for_each(|addr| self.prewarm_data(addr)),
+                AccessKind::Fetch => region.lines().for_each(|addr| self.prewarm_fetch(addr)),
             }
         }
         // The tail batch stays pending: warmup instructions are unmeasured

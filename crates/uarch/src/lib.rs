@@ -37,6 +37,7 @@ mod lanes;
 mod lru;
 mod machine;
 mod power;
+mod prewarm;
 mod simulator;
 mod tlb;
 mod topdown;
@@ -48,6 +49,7 @@ pub use fleet::{FleetSimulator, TraceSegment};
 pub use hierarchy::{AccessKind, HierarchyConfig, MemoryHierarchy, PrefetchConfig};
 pub use machine::{Isa, LatencyModel, MachineConfig};
 pub use power::{PowerModel, PowerReport};
+pub use prewarm::{prewarm_regions, PrewarmRegion};
 pub use simulator::CoreSimulator;
 pub use tlb::{Tlb, TlbConfig, TlbHierarchy, TlbHierarchyConfig};
 pub use topdown::CpiStack;

@@ -5,6 +5,7 @@ use horizon_trace::{Instruction, Kind, TraceGenerator, WorkloadProfile};
 use crate::counters::Counters;
 use crate::hierarchy::{AccessKind, MemoryHierarchy};
 use crate::machine::MachineConfig;
+use crate::prewarm::prewarm_regions;
 use crate::tlb::TlbHierarchy;
 use crate::topdown::CpiStack;
 
@@ -39,11 +40,6 @@ pub struct CoreSimulator {
     /// Instructions to run before counters start (cold-start warmup).
     warmup: u64,
 }
-
-/// Largest data region the prewarm pass walks through the hierarchy:
-/// anything bigger cannot stay resident and would only wash the LLC right
-/// before measurement (shared with the fleet kernel).
-pub(crate) const PREWARM_LIMIT: u64 = 6 << 20;
 
 impl CoreSimulator {
     /// Creates a simulator for a machine with **no warmup**: counters start
@@ -81,11 +77,11 @@ impl CoreSimulator {
     /// warmup) using the given trace seed and returns the counters.
     ///
     /// When a warmup is configured, the caches and TLBs are additionally
-    /// *pre-warmed*: every line of every cache-scale data region (≤ 32 MiB)
-    /// and of the code regions is touched once, emulating the steady state
-    /// of a benchmark that has already been running for minutes — without
-    /// it, short simulation windows over-count cold misses of
-    /// rarely-touched regions.
+    /// *pre-warmed*: every line of the regions [`crate::prewarm_regions`]
+    /// lists (cache-scale data and code) is touched once, emulating the
+    /// steady state of a benchmark that has already been running for
+    /// minutes — without it, short simulation windows over-count cold
+    /// misses of rarely-touched regions.
     pub fn run(&self, profile: &WorkloadProfile, instructions: u64, seed: u64) -> Counters {
         self.run_trace(profile, instructions, TraceGenerator::new(profile, seed))
     }
@@ -110,27 +106,13 @@ impl CoreSimulator {
 
         if self.warmup > 0 {
             let _prewarm_span = horizon_telemetry::span("sim.prewarm");
-            // Only pre-warm regions that can actually stay resident: walking
-            // a DRAM-scale region through the hierarchy would wash the LLC
-            // right before measurement and re-cold every smaller region.
-            for (base, bytes) in horizon_trace::region_layout(profile) {
-                if bytes <= PREWARM_LIMIT {
-                    for addr in (base..base + bytes).step_by(64) {
-                        caches.access(addr, AccessKind::Data);
-                        tlbs.access_data(addr);
-                    }
-                }
-            }
-            let (code_base, code_bytes) = horizon_trace::hot_code_layout(profile);
-            for addr in (code_base..code_base + code_bytes).step_by(64) {
-                caches.access(addr, AccessKind::Fetch);
-                tlbs.access_instruction(addr);
-            }
-            if profile.kernel_fraction() > 0.0 {
-                let (kbase, kbytes) = horizon_trace::kernel_code_layout();
-                for addr in (kbase..kbase + kbytes).step_by(64) {
-                    caches.access(addr, AccessKind::Fetch);
-                    tlbs.access_instruction(addr);
+            for region in prewarm_regions(profile) {
+                for addr in region.lines() {
+                    caches.access(addr, region.kind);
+                    match region.kind {
+                        AccessKind::Data => tlbs.access_data(addr),
+                        AccessKind::Fetch => tlbs.access_instruction(addr),
+                    };
                 }
             }
         }

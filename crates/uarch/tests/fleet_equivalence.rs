@@ -207,7 +207,7 @@ proptest! {
         measure in 3_000u64..15_000,
     ) {
         let machines = MachineConfig::table_iv_machines();
-        let fleet = FleetSimulator::new(&machines).with_functional_warming(true);
+        let fleet = FleetSimulator::new(&machines);
         let skipped = fleet.run_trace_segments(
             &profile,
             &[TraceSegment { skip, warmup, measure }],

@@ -4,11 +4,7 @@
 # request coalescing, text/SSE response formats, the event firehose,
 # phase-sampled runs (simpoint.* metrics), and graceful drain.
 #
-# Usage: scripts/daemon_smoke.sh [--cluster] [REPRO_BINARY] [ADDR]
-#   --cluster     smoke the sharded fleet instead: a router on ADDR in
-#                 front of two workers on the next two ports — routed
-#                 runs, peer health, failover-free byte-identity, and
-#                 the node-labelled aggregated /metrics scrape
+# Usage: scripts/daemon_smoke.sh [REPRO_BINARY] [ADDR]
 #   REPRO_BINARY  path to the repro binary (default target/release/repro)
 #   ADDR          host:port to bind      (default 127.0.0.1:7878)
 #
@@ -16,11 +12,6 @@
 # disposable workspace (CI job dir or a temp dir).
 set -euo pipefail
 
-CLUSTER=0
-if [ "${1:-}" = "--cluster" ]; then
-  CLUSTER=1
-  shift
-fi
 REPRO="${1:-target/release/repro}"
 ADDR="${2:-127.0.0.1:7878}"
 BASE="http://${ADDR}"
@@ -28,93 +19,6 @@ BASE="http://${ADDR}"
 metric() {
   curl -fsS "${BASE}/metrics" | awk -v name="$1" '$1 == name {print $2}'
 }
-
-wait_healthy() {
-  for _ in $(seq 1 50); do
-    if curl -fsS "http://$1/healthz" > /dev/null 2>&1; then return 0; fi
-    sleep 0.2
-  done
-  echo "daemon on $1 never became healthy" >&2
-  return 1
-}
-
-if [ "${CLUSTER}" -eq 1 ]; then
-  HOST="${ADDR%:*}"
-  PORT="${ADDR##*:}"
-  W1="${HOST}:$((PORT + 1))"
-  W2="${HOST}:$((PORT + 2))"
-
-  "${REPRO}" serve --addr "${W1}" --cache-dir .ci-cluster-w1 2> worker1.log &
-  W1_PID=$!
-  "${REPRO}" serve --addr "${W2}" --cache-dir .ci-cluster-w2 2> worker2.log &
-  W2_PID=$!
-  "${REPRO}" serve --addr "${ADDR}" --role router --peers "${W1},${W2}" \
-    --rate-limit 100 2> router.log &
-  ROUTER_PID=$!
-  trap 'kill "${ROUTER_PID}" "${W1_PID}" "${W2_PID}" 2>/dev/null || true' EXIT
-
-  wait_healthy "${W1}"
-  wait_healthy "${W2}"
-  wait_healthy "${ADDR}"
-
-  # The router's liveness poller must see both workers.
-  for _ in $(seq 1 50); do
-    alive=$(curl -fsS "${BASE}/healthz" | grep -o '"peers_alive":[0-9]*' | cut -d: -f2)
-    if test "${alive:-0}" -eq 2; then break; fi
-    sleep 0.2
-  done
-  echo "router peers alive: ${alive:-0}"
-  test "${alive:-0}" -eq 2
-
-  # Workers answer the peer-health poll directly, too.
-  curl -fsS "http://${W1}/peer/health" | grep -q '"role":"worker"'
-  curl -fsS "http://${W2}/peer/health" | grep -q '"role":"worker"'
-
-  # Identical routed runs pin to one worker: the second is a memo hit
-  # there, and exactly one worker's memo warms up.
-  curl -fsS -X POST -d '{"quick":true}' "${BASE}/run/table1" > routed1.json
-  grep -q '"schema_version":1' routed1.json
-  curl -fsS -X POST -d '{"quick":true}' "${BASE}/run/table1" > routed2.json
-  grep -o '"memo_hits_delta":[0-9]*' routed2.json
-  if grep -q '"memo_hits_delta":0,' routed2.json; then
-    echo "rerouted identical run missed the warm memo" >&2
-    exit 1
-  fi
-  warm=0
-  for worker in "${W1}" "${W2}"; do
-    entries=$(curl -fsS "http://${worker}/peer/health" \
-      | grep -o '"memo_entries":[0-9]*' | cut -d: -f2)
-    echo "worker ${worker} memo entries: ${entries:-0}"
-    if test "${entries:-0}" -gt 0; then warm=$((warm + 1)); fi
-  done
-  test "${warm}" -eq 1
-
-  # A routed text run is byte-identical to batch stdout.
-  curl -fsS -X POST -d '{"quick":true}' "${BASE}/run/table1?format=text" > routed.txt
-  "${REPRO}" table1 --quick > batch.txt
-  cmp routed.txt batch.txt
-
-  # The aggregated scrape carries every node's samples under `node`
-  # labels: the router's own counters plus both workers' serve counters.
-  curl -fsS "${BASE}/metrics" > fleet_metrics.txt
-  grep -q "horizon_cluster_routed_runs{node=\"${ADDR}\"}" fleet_metrics.txt
-  grep -q "node=\"${W1}\"" fleet_metrics.txt
-  grep -q "node=\"${W2}\"" fleet_metrics.txt
-  grep -q "horizon_serve_requests{node=" fleet_metrics.txt
-
-  # Graceful drain, fleet-wide.
-  kill -TERM "${ROUTER_PID}" "${W1_PID}" "${W2_PID}"
-  rc=0
-  wait "${ROUTER_PID}" || rc=$?
-  test "${rc}" -eq 0
-  wait "${W1_PID}" || rc=$?
-  test "${rc}" -eq 0
-  wait "${W2_PID}" || rc=$?
-  test "${rc}" -eq 0
-  trap - EXIT
-  echo "cluster smoke OK"
-  exit 0
-fi
 
 "${REPRO}" serve --addr "${ADDR}" --cache-dir .ci-cache 2> serve.log &
 SERVE_PID=$!
