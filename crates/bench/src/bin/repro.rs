@@ -4,7 +4,8 @@
 //! repro <experiment> [flags]
 //! repro all [flags]
 //! repro list
-//! repro cache-gc --cache-dir DIR [--max-entries N] [--max-trace-bytes N]
+//! repro cache-gc --cache-dir DIR [--max-entries N]
+//!                  [--trace-store DIR [--max-trace-bytes N]]
 //! repro serve [--addr HOST:PORT] [flags]
 //!
 //! flags:
@@ -13,14 +14,10 @@
 //!                       simulation — clusters trace intervals and
 //!                       simulates only representatives (approximate,
 //!                       error-budgeted; see DESIGN.md §15)
-//!   --sampling-interval <N>    simpoint: instructions per interval
-//!   --sampling-max-phases <N>  simpoint: cluster/phase budget
-//!   --jobs <N>          worker threads (overrides HORIZON_JOBS)
-//!   --cache-dir <DIR>   persist measurements to an on-disk cache (also
-//!                       enables a packed trace store at DIR/traces)
-//!   --trace-store <DIR> persist packed instruction traces at DIR
-//!                       (overrides the DIR/traces default)
-//!   --no-trace-store    disable the trace store entirely
+//!   --jobs <N>          worker threads (default: available parallelism)
+//!   --cache-dir <DIR>   persist measurements to an on-disk cache
+//!   --trace-store <DIR> persist packed instruction traces at DIR and
+//!                       replay them on later runs
 //!   --stats             print engine statistics and the per-phase
 //!                       wall-clock table to stderr when done
 //!   --progress          live progress lines on stderr while the run
@@ -30,8 +27,8 @@
 //!   --metrics-out <FILE> write counters/histograms in Prometheus text form
 //!   --otlp-out <FILE>   write spans as an OTLP/JSON trace-export document
 //!   --max-entries <N>   cache-gc: measurement entries to keep (default 1024)
-//!   --max-trace-bytes <N>  cache-gc: trace-store byte budget
-//!                       (default 268435456 = 256 MiB)
+//!   --max-trace-bytes <N>  cache-gc: byte budget for the --trace-store
+//!                       store (default 268435456 = 256 MiB)
 //!   --addr <HOST:PORT>  serve: bind address (default 127.0.0.1:7878)
 //!   --workers <N>       serve: request worker threads
 //!   --queue-cap <N>     serve: queued connections beyond busy workers
@@ -40,9 +37,9 @@
 //! ```
 //!
 //! Unknown flags are rejected with exit code 2. Experiment reports go to
-//! stdout and are bit-identical regardless of `--jobs`, `HORIZON_JOBS` or
-//! cache state; statistics, traces and metrics go to stderr or files so
-//! report output stays diffable.
+//! stdout and are bit-identical regardless of `--jobs` or cache state;
+//! statistics, traces and metrics go to stderr or files so report output
+//! stays diffable.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -52,20 +49,16 @@ use horizon_bench::serve::{ServeOptions, Server};
 use horizon_bench::{find_experiment, run_experiment, ReproConfig, REGISTRY};
 use horizon_core::campaign::SamplingPolicy;
 use horizon_engine::{DiskCache, Engine, EngineStats, TraceStore};
-use horizon_simpoint::SimPointConfig;
 use horizon_telemetry::{EventKind, Recorder};
 use std::time::{Duration, Instant};
 
 struct Options {
     target: Option<String>,
     quick: bool,
-    sampling: Option<String>,
-    sampling_interval: Option<u64>,
-    sampling_max_phases: Option<u64>,
+    sampling: Option<SamplingPolicy>,
     jobs: Option<usize>,
     cache_dir: Option<String>,
     trace_store: Option<String>,
-    no_trace_store: bool,
     max_trace_bytes: Option<u64>,
     stats: bool,
     progress: bool,
@@ -104,12 +97,9 @@ fn parse_args(args: &[String]) -> Result<Options, ParseError> {
         target: None,
         quick: false,
         sampling: None,
-        sampling_interval: None,
-        sampling_max_phases: None,
         jobs: None,
         cache_dir: None,
         trace_store: None,
-        no_trace_store: false,
         max_trace_bytes: None,
         stats: false,
         progress: false,
@@ -138,28 +128,11 @@ fn parse_args(args: &[String]) -> Result<Options, ParseError> {
             "--quick" => opts.quick = true,
             "--sampling" => {
                 let v = value("--sampling")?;
-                if v != "exact" && v != "simpoint" {
-                    return Err(ParseError::BadValue("--sampling", v));
-                }
-                opts.sampling = Some(v);
-            }
-            "--sampling-interval" => {
-                let v = value("--sampling-interval")?;
-                let n = v
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or(ParseError::BadValue("--sampling-interval", v))?;
-                opts.sampling_interval = Some(n);
-            }
-            "--sampling-max-phases" => {
-                let v = value("--sampling-max-phases")?;
-                let n = v
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or(ParseError::BadValue("--sampling-max-phases", v))?;
-                opts.sampling_max_phases = Some(n);
+                opts.sampling = Some(match v.as_str() {
+                    "exact" => SamplingPolicy::Exact,
+                    "simpoint" => SamplingPolicy::simpoint_default(),
+                    _ => return Err(ParseError::BadValue("--sampling", v)),
+                });
             }
             "--stats" => opts.stats = true,
             "--progress" => opts.progress = true,
@@ -174,7 +147,6 @@ fn parse_args(args: &[String]) -> Result<Options, ParseError> {
             }
             "--cache-dir" => opts.cache_dir = Some(value("--cache-dir")?),
             "--trace-store" => opts.trace_store = Some(value("--trace-store")?),
-            "--no-trace-store" => opts.no_trace_store = true,
             "--max-trace-bytes" => {
                 let v = value("--max-trace-bytes")?;
                 let n = v
@@ -242,10 +214,10 @@ const SUBCOMMANDS: &str = "all, list, serve, cache-gc, help";
 fn usage() {
     eprintln!(
         "usage: repro <experiment|all|list> [--quick] [--sampling exact|simpoint] \
-         [--sampling-interval N] [--sampling-max-phases N] [--jobs N] [--cache-dir DIR] \
-         [--trace-store DIR] [--no-trace-store] [--stats] [--progress] [--trace-out FILE] \
-         [--metrics-out FILE] [--otlp-out FILE]\n\
-         \x20      repro cache-gc --cache-dir DIR [--max-entries N] [--max-trace-bytes N]\n\
+         [--jobs N] [--cache-dir DIR] [--trace-store DIR] [--stats] [--progress] \
+         [--trace-out FILE] [--metrics-out FILE] [--otlp-out FILE]\n\
+         \x20      repro cache-gc --cache-dir DIR [--max-entries N] \
+         [--trace-store DIR [--max-trace-bytes N]]\n\
          \x20      repro serve [--addr HOST:PORT] [--workers N] [--queue-cap N] \
          [--request-timeout-ms N] [--jobs N] [--cache-dir DIR] [--trace-store DIR]"
     );
@@ -254,18 +226,14 @@ fn usage() {
     eprintln!("experiments: {}", ids.join(", "));
 }
 
-/// The trace-store byte budget `cache-gc` prunes to when
-/// `--max-trace-bytes` is not given: 256 MiB.
-const DEFAULT_MAX_TRACE_BYTES: u64 = 256 << 20;
-
-/// Prunes the on-disk cache down to `max_entries` LRU entries, and the
-/// trace store (if one is in play) down to `--max-trace-bytes`.
+/// Prunes the on-disk cache down to `--max-entries` LRU entries, and the
+/// `--trace-store` store (if named) down to `--max-trace-bytes`.
 fn run_cache_gc(opts: &Options) -> u8 {
     let Some(dir) = &opts.cache_dir else {
         eprintln!("error: cache-gc requires --cache-dir");
         return 2;
     };
-    let max_entries = opts.max_entries.unwrap_or(1024);
+    let max_entries = opts.max_entries.unwrap_or(DiskCache::DEFAULT_MAX_ENTRIES);
     let cache = match DiskCache::open(dir) {
         Ok(cache) => cache,
         Err(e) => {
@@ -285,29 +253,18 @@ fn run_cache_gc(opts: &Options) -> u8 {
         report.examined, report.removed, report.reclaimed_bytes, report.retained
     );
 
-    // Prune the trace store too: an explicit --trace-store DIR always, the
-    // implicit <cache-dir>/traces only when it exists (so a gc pass never
-    // conjures an empty store directory).
-    let trace_dir = match (&opts.trace_store, opts.no_trace_store) {
-        (_, true) => None,
-        (Some(dir), _) => Some(std::path::PathBuf::from(dir)),
-        (None, _) => {
-            let implicit = std::path::Path::new(dir).join("traces");
-            implicit.is_dir().then_some(implicit)
-        }
-    };
-    if let Some(trace_dir) = trace_dir {
-        let store = match TraceStore::open(&trace_dir) {
+    if let Some(trace_dir) = &opts.trace_store {
+        let store = match TraceStore::open(trace_dir) {
             Ok(store) => store,
             Err(e) => {
-                eprintln!(
-                    "error: cannot open trace store '{}': {e}",
-                    trace_dir.display()
-                );
+                eprintln!("error: cannot open trace store '{trace_dir}': {e}");
                 return 1;
             }
         };
-        match store.gc(opts.max_trace_bytes.unwrap_or(DEFAULT_MAX_TRACE_BYTES)) {
+        let budget = opts
+            .max_trace_bytes
+            .unwrap_or(TraceStore::DEFAULT_MAX_BYTES);
+        match store.gc(budget) {
             Ok(trace) => {
                 report.absorb_trace(&trace);
                 println!(
@@ -327,7 +284,7 @@ fn run_cache_gc(opts: &Options) -> u8 {
                 }
             }
             Err(e) => {
-                eprintln!("error: trace gc failed for '{}': {e}", trace_dir.display());
+                eprintln!("error: trace gc failed for '{trace_dir}': {e}");
                 return 1;
             }
         }
@@ -493,26 +450,12 @@ fn main() -> ExitCode {
     } else {
         ReproConfig::default()
     };
-    // The sampling knobs only mean something under `--sampling simpoint`;
-    // silently ignoring them would mask typos like a missing mode flag.
-    if opts.sampling.as_deref() != Some("simpoint") {
-        let misplaced: &[(&str, bool)] = &[
-            ("--sampling-interval", opts.sampling_interval.is_some()),
-            ("--sampling-max-phases", opts.sampling_max_phases.is_some()),
-        ];
-        if let Some((flag, _)) = misplaced.iter().find(|(_, set)| *set) {
-            eprintln!("error: flag '{flag}' requires '--sampling simpoint'");
-            return ExitCode::from(2);
-        }
-    } else {
-        cfg.campaign.sampling = SamplingPolicy::SimPoint {
-            interval: opts
-                .sampling_interval
-                .unwrap_or(SimPointConfig::DEFAULT_INTERVAL),
-            max_phases: opts
-                .sampling_max_phases
-                .unwrap_or(SimPointConfig::DEFAULT_MAX_PHASES),
-        };
+    if let Some(sampling) = opts.sampling {
+        cfg.campaign.sampling = sampling;
+    }
+    if opts.max_trace_bytes.is_some() && opts.trace_store.is_none() {
+        eprintln!("error: flag '--max-trace-bytes' requires '--trace-store'");
+        return ExitCode::from(2);
     }
 
     // One recorder serves the whole process: installed globally (so the
@@ -535,26 +478,17 @@ fn main() -> ExitCode {
             }
         };
     }
-    if opts.no_trace_store && opts.trace_store.is_some() {
-        eprintln!("error: '--no-trace-store' conflicts with '--trace-store'");
-        return ExitCode::from(2);
-    }
-    // The trace store rides along with the cache by default: --cache-dir D
-    // implies a store at D/traces, --trace-store overrides the location,
-    // --no-trace-store turns it off. cache-gc manages the store itself,
-    // so the engine skips attaching (and creating) it there.
-    let trace_dir = match (&opts.trace_store, &opts.cache_dir) {
-        _ if opts.no_trace_store => None,
-        _ if opts.target.as_deref() == Some("cache-gc") => None,
-        (Some(dir), _) => Some(std::path::PathBuf::from(dir)),
-        (None, Some(cache)) => Some(std::path::Path::new(cache).join("traces")),
-        (None, None) => None,
-    };
-    if let Some(dir) = trace_dir {
-        engine = match engine.with_trace_store(&dir) {
+    // Only `--trace-store DIR` attaches a store. cache-gc manages the store
+    // itself, so the engine skips attaching it there.
+    if let Some(dir) = opts
+        .trace_store
+        .as_ref()
+        .filter(|_| opts.target.as_deref() != Some("cache-gc"))
+    {
+        engine = match engine.with_trace_store(dir) {
             Ok(engine) => engine,
             Err(e) => {
-                eprintln!("error: cannot open trace store '{}': {e}", dir.display());
+                eprintln!("error: cannot open trace store '{dir}': {e}");
                 return ExitCode::FAILURE;
             }
         };

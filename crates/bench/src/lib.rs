@@ -899,11 +899,6 @@ pub struct Experiment {
     pub aliases: &'static [&'static str],
     /// One-line description for `repro list`.
     pub summary: &'static str,
-    /// Approximate cost: the number of (benchmark × machine) grid cells a
-    /// cold run expands. The serve scheduler orders distinct queued runs
-    /// largest-first on this, so the expensive campaigns claim workers
-    /// before a burst of cheap ones fragments the pool.
-    pub weight: u64,
     /// The driver producing the report text.
     pub run: fn(&ReproConfig) -> Result<String, CoreError>,
 }
@@ -914,126 +909,108 @@ pub static REGISTRY: &[Experiment] = &[
         id: "table1",
         aliases: &[],
         summary: "Dynamic instruction count, instruction mix and CPI (Table I)",
-        weight: 43,
         run: table_1,
     },
     Experiment {
         id: "table2",
         aliases: &[],
         summary: "Ranges of cache and branch metrics per sub-suite (Table II)",
-        weight: 43,
         run: table_2,
     },
     Experiment {
         id: "fig1",
         aliases: &[],
         summary: "CPI stacks of the rate benchmarks (Figure 1)",
-        weight: 25,
         run: fig_1,
     },
     Experiment {
         id: "fig2",
         aliases: &[],
         summary: "SPECspeed INT similarity dendrogram (Figure 2)",
-        weight: 70,
         run: fig_2,
     },
     Experiment {
         id: "fig3",
         aliases: &[],
         summary: "SPECspeed FP similarity dendrogram (Figure 3)",
-        weight: 91,
         run: fig_3,
     },
     Experiment {
         id: "fig4",
         aliases: &[],
         summary: "SPECrate FP similarity dendrogram (Figure 4)",
-        weight: 91,
         run: fig_4,
     },
     Experiment {
         id: "table5",
         aliases: &[],
         summary: "Representative 3-benchmark subsets (Table V)",
-        weight: 300,
         run: table_5,
     },
     Experiment {
         id: "fig5-6+table6",
         aliases: &["fig5", "fig6", "table6"],
         summary: "Subset validation on commercial systems (Figures 5/6, Table VI)",
-        weight: 600,
         run: validation_report,
     },
     Experiment {
         id: "fig7-8+table7",
         aliases: &["fig7", "fig8", "table7"],
         summary: "Input-set similarity and representatives (Figures 7/8, Table VII)",
-        weight: 150,
         run: input_sets_report,
     },
     Experiment {
         id: "rate-speed",
         aliases: &[],
         summary: "Rate vs speed benchmark divergence (Section IV-D)",
-        weight: 300,
         run: rate_speed_report,
     },
     Experiment {
         id: "fig9",
         aliases: &[],
         summary: "Branch-behavior PC scatter (Figure 9)",
-        weight: 301,
         run: fig_9,
     },
     Experiment {
         id: "fig10",
         aliases: &[],
         summary: "Data/instruction cache PC scatters (Figure 10)",
-        weight: 301,
         run: fig_10,
     },
     Experiment {
         id: "table8",
         aliases: &[],
         summary: "Application-domain classification (Table VIII)",
-        weight: 301,
         run: table_8,
     },
     Experiment {
         id: "fig11",
         aliases: &[],
         summary: "CPU2017 vs CPU2006 workload-space coverage (Figure 11, Section V-B)",
-        weight: 600,
         run: fig_11,
     },
     Experiment {
         id: "fig12",
         aliases: &[],
         summary: "Power-characteristics coverage on Intel machines (Figure 12)",
-        weight: 350,
         run: fig_12,
     },
     Experiment {
         id: "fig13",
         aliases: &[],
         summary: "Similarity with EDA, graph and database workloads (Figure 13)",
-        weight: 700,
         run: fig_13,
     },
     Experiment {
         id: "table9",
         aliases: &[],
         summary: "Branch/L1D/TLB sensitivity classes (Table IX)",
-        weight: 250,
         run: table_9,
     },
     Experiment {
         id: "stability",
         aliases: &[],
         summary: "Leave-one-machine-out methodology jackknife",
-        weight: 100,
         run: stability_report,
     },
 ];

@@ -1,23 +1,20 @@
-//! Run-level scheduling and coalescing for `repro serve`.
+//! Worker pools and run-level coalescing for `repro serve`.
+//!
+//! Both of the daemon's thread pools are a [`Pool`]: a fixed set of
+//! workers over one FIFO queue. The connection pool caps its queue (past
+//! the cap the accept loop answers `503`); the run pool is uncapped, so
+//! connection saturation stays the only `503` path.
 //!
 //! Connection workers do not execute experiments; they [`submit`] run
-//! requests to this scheduler and wait on the returned [`RunSlot`] under
-//! their own per-request deadline. The scheduler owns a dedicated pool of
-//! run workers and two policies:
-//!
-//! * **Coalescing** — identical in-flight requests (same [`RunKey`]:
-//!   experiment plus the campaign-shaping options `quick`, `instructions`,
-//!   `warmup`, `seed`) share one execution. The first submission *leads*
-//!   and enqueues the run; later identical submissions *coalesce* onto the
-//!   leader's slot and receive the same [`RunOutput`]. Engine results are
-//!   deterministic, so a coalesced answer is bit-identical to a private
-//!   one. `jobs` and `deadline_ms` do not shape the result and are
-//!   deliberately excluded from the key.
-//! * **Largest-first ordering** — distinct queued runs are dispatched by
-//!   descending estimated cost ([`Experiment::weight`] × campaign window),
-//!   FIFO among equals, so a burst of cheap probes cannot starve the one
-//!   expensive campaign everyone is actually waiting for (and the
-//!   expensive run starts warming the shared engine memo earliest).
+//! requests to the [`RunScheduler`] and wait on the returned [`RunSlot`]
+//! under their own per-request deadline. Identical in-flight requests
+//! (same [`RunKey`]: experiment plus the campaign-shaping options `quick`,
+//! `seed` and `sampling`) share one execution. The first submission
+//! *leads* and enqueues the run; later identical submissions *coalesce*
+//! onto the leader's slot and receive the same [`RunOutput`]. Engine
+//! results are deterministic, so a coalesced answer is bit-identical to a
+//! private one. `jobs` and `deadline_ms` do not shape the result and are
+//! deliberately excluded from the key.
 //!
 //! # Waiter accounting
 //!
@@ -27,10 +24,12 @@
 //! warm for the retry. A leader that panics publishes an error `RunOutput`
 //! (the run worker catches the unwind), so co-waiters get a clean `500`
 //! instead of hanging.
+//!
+//! [`submit`]: RunScheduler::submit
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -48,17 +47,100 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Estimated cost of one run: [`Experiment::weight`] × campaign window
-/// (warmup + measured instructions). The single definition both the HTTP
-/// layer (ETA hints) and the scheduler (largest-first dispatch) price
-/// runs with — computed once per request and carried in the queued entry,
-/// never re-derived during queue scans.
-pub(crate) fn estimated_cost(experiment: &Experiment, cfg: &ReproConfig) -> u64 {
-    experiment.weight.saturating_mul(
-        cfg.campaign
-            .instructions
-            .saturating_add(cfg.campaign.warmup),
-    )
+/// Error returned by [`Pool::try_submit`] when the queue is at capacity;
+/// carries the rejected item back so the caller can answer `503` on it.
+pub(crate) struct Saturated<T>(pub T);
+
+struct PoolShared<T> {
+    queue: Mutex<VecDeque<T>>,
+    ready: Condvar,
+    cap: usize,
+    stop: AtomicBool,
+}
+
+/// A fixed-size worker pool over a bounded FIFO queue of `T`, each item
+/// handled by one shared handler function. Shutdown is draining: workers
+/// finish every queued item before exiting.
+pub(crate) struct Pool<T: Send + 'static> {
+    shared: Arc<PoolShared<T>>,
+    handles: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl<T: Send + 'static> Pool<T> {
+    /// Spawns `workers` threads over a queue holding at most `cap` items.
+    pub(crate) fn new(
+        workers: usize,
+        cap: usize,
+        handler: impl Fn(T) + Send + Sync + 'static,
+    ) -> Pool<T> {
+        let shared = Arc::new(PoolShared {
+            queue: Mutex::new(VecDeque::new()),
+            ready: Condvar::new(),
+            cap: cap.max(1),
+            stop: AtomicBool::new(false),
+        });
+        let handler = Arc::new(handler);
+        let handles = (0..workers.max(1))
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                let handler = Arc::clone(&handler);
+                std::thread::Builder::new()
+                    .name(format!("pool-worker-{i}"))
+                    .spawn(move || loop {
+                        let item = {
+                            let mut queue = shared.queue.lock().expect("pool queue");
+                            loop {
+                                if let Some(item) = queue.pop_front() {
+                                    break Some(item);
+                                }
+                                if shared.stop.load(Ordering::SeqCst) {
+                                    break None;
+                                }
+                                queue = shared.ready.wait(queue).expect("pool queue");
+                            }
+                        };
+                        match item {
+                            // A panicking handler must not take the worker
+                            // (or the process) down with it.
+                            Some(item) => {
+                                let _ = catch_unwind(AssertUnwindSafe(|| handler(item)));
+                            }
+                            None => break,
+                        }
+                    })
+                    .expect("spawn pool worker")
+            })
+            .collect();
+        Pool { shared, handles }
+    }
+
+    /// Enqueues `item` unless the queue is at capacity.
+    pub(crate) fn try_submit(&self, item: T) -> Result<(), Saturated<T>> {
+        {
+            let mut queue = self.shared.queue.lock().expect("pool queue");
+            if queue.len() >= self.shared.cap {
+                return Err(Saturated(item));
+            }
+            queue.push_back(item);
+        }
+        self.shared.ready.notify_one();
+        Ok(())
+    }
+
+    /// Queued (not yet claimed) items.
+    #[cfg(test)]
+    pub(crate) fn queued(&self) -> usize {
+        self.shared.queue.lock().expect("pool queue").len()
+    }
+
+    /// Drains the queue and joins every worker.
+    pub(crate) fn shutdown(self) {
+        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.ready.notify_all();
+        for handle in self.handles {
+            let _ = handle.join();
+        }
+    }
 }
 
 /// Identity of a run for coalescing: everything that shapes the report.
@@ -73,10 +155,6 @@ pub(crate) struct RunKey {
     pub experiment: &'static str,
     /// Whether the quick-scale config was requested.
     pub quick: bool,
-    /// Campaign window override.
-    pub instructions: Option<u64>,
-    /// Warmup override.
-    pub warmup: Option<u64>,
     /// Seed override.
     pub seed: Option<u64>,
     /// Resolved sampling policy (an explicit `"sampling": "exact"` and an
@@ -153,11 +231,8 @@ impl RunSlot {
     }
 }
 
-/// One queued run. Ordered by estimated cost (largest first), FIFO among
-/// equals — `BinaryHeap` pops the maximum.
+/// One queued run, claimed by the run pool in submission order.
 struct QueuedRun {
-    cost: u64,
-    seq: u64,
     key: RunKey,
     experiment: &'static Experiment,
     cfg: ReproConfig,
@@ -165,50 +240,22 @@ struct QueuedRun {
     slot: Arc<RunSlot>,
 }
 
-impl PartialEq for QueuedRun {
-    fn eq(&self, other: &Self) -> bool {
-        self.cost == other.cost && self.seq == other.seq
-    }
-}
-
-impl Eq for QueuedRun {}
-
-impl PartialOrd for QueuedRun {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for QueuedRun {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Higher cost wins; among equals the earlier sequence number wins
-        // (reversed comparison, since the heap pops the maximum).
-        self.cost
-            .cmp(&other.cost)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 struct SchedShared {
-    queue: Mutex<BinaryHeap<QueuedRun>>,
-    ready: Condvar,
     /// Runs currently queued or executing, by coalescing key.
     inflight: Mutex<HashMap<RunKey, Arc<RunSlot>>>,
-    stop: AtomicBool,
     /// Queued + executing runs; shutdown drains this to zero.
     pending: AtomicUsize,
-    seq: AtomicU64,
     engine: Arc<Engine>,
     recorder: Arc<Recorder>,
     /// Worker count to restore after a per-run `jobs` override.
     default_jobs: Option<usize>,
 }
 
-/// The run scheduler: a priority queue of distinct runs, a coalescing
-/// table, and the worker pool executing them.
+/// The run scheduler: a coalescing table in front of the run pool.
 pub(crate) struct RunScheduler {
     shared: Arc<SchedShared>,
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Taken by a shutdown that drained every run.
+    pool: Mutex<Option<Pool<QueuedRun>>>,
 }
 
 impl RunScheduler {
@@ -226,64 +273,32 @@ impl RunScheduler {
         recorder.counter_add("serve.runs_executed", 0);
         recorder.gauge_add("serve.active_runs", 0);
         let shared = Arc::new(SchedShared {
-            queue: Mutex::new(BinaryHeap::new()),
-            ready: Condvar::new(),
             inflight: Mutex::new(HashMap::new()),
-            stop: AtomicBool::new(false),
             pending: AtomicUsize::new(0),
-            seq: AtomicU64::new(0),
             engine,
             recorder,
             default_jobs,
         });
-        let handles = (0..workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("run-worker-{i}"))
-                    .spawn(move || loop {
-                        let run = {
-                            let mut queue = lock(&shared.queue);
-                            loop {
-                                if let Some(run) = queue.pop() {
-                                    break Some(run);
-                                }
-                                if shared.stop.load(Ordering::SeqCst) {
-                                    break None;
-                                }
-                                queue = shared
-                                    .ready
-                                    .wait(queue)
-                                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                            }
-                        };
-                        match run {
-                            Some(run) => execute(&shared, run),
-                            None => break,
-                        }
-                    })
-                    .expect("spawn run worker")
-            })
-            .collect();
+        let worker_shared = Arc::clone(&shared);
+        // Uncapped: run admission never rejects, connection saturation is
+        // the only 503 path.
+        let pool = Pool::new(workers, usize::MAX, move |run| execute(&worker_shared, run));
         RunScheduler {
             shared,
-            handles: Mutex::new(handles),
+            pool: Mutex::new(Some(pool)),
         }
     }
 
     /// Submits a run: returns its slot plus whether this submission
     /// coalesced onto an already in-flight identical run (counted in
-    /// `serve.coalesced_runs`). A leader's run is enqueued by `cost`
-    /// (the caller's [`estimated_cost`], priced once at admission and
-    /// carried into the queued entry); the caller then waits on the slot
-    /// under its own deadline.
+    /// `serve.coalesced_runs`). A leader's run is queued behind earlier
+    /// leaders; the caller then waits on the slot under its own deadline.
     pub(crate) fn submit(
         &self,
         experiment: &'static Experiment,
         key: RunKey,
         cfg: ReproConfig,
         jobs: Option<usize>,
-        cost: u64,
     ) -> (Arc<RunSlot>, bool) {
         let slot = {
             let mut inflight = lock(&self.shared.inflight);
@@ -299,16 +314,19 @@ impl RunScheduler {
         };
         self.shared.pending.fetch_add(1, Ordering::SeqCst);
         let run = QueuedRun {
-            cost,
-            seq: self.shared.seq.fetch_add(1, Ordering::SeqCst),
             key,
             experiment,
             cfg,
             jobs,
             slot: Arc::clone(&slot),
         };
-        lock(&self.shared.queue).push(run);
-        self.shared.ready.notify_one();
+        let admitted = lock(&self.pool)
+            .as_ref()
+            .is_some_and(|pool| pool.try_submit(run).is_ok());
+        assert!(
+            admitted,
+            "the run pool is uncapped and lives until shutdown"
+        );
         (slot, false)
     }
 
@@ -317,20 +335,18 @@ impl RunScheduler {
         self.shared.pending.load(Ordering::SeqCst)
     }
 
-    /// Stops the workers, draining queued runs for at most `drain`.
-    /// Workers still mid-run past the deadline are left detached — the
-    /// process is exiting and no waiter remains (the connection pool
-    /// drains before the scheduler).
+    /// Waits at most `drain` for queued and executing runs to finish, then
+    /// stops the pool. Workers still mid-run past the deadline are left
+    /// detached — the process is exiting and no waiter remains (the
+    /// connection pool drains before the scheduler).
     pub(crate) fn shutdown(&self, drain: Duration) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.ready.notify_all();
         let deadline = Instant::now() + drain;
         while self.pending() > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(25));
         }
         if self.pending() == 0 {
-            for handle in lock(&self.handles).drain(..) {
-                let _ = handle.join();
+            if let Some(pool) = lock(&self.pool).take() {
+                pool.shutdown();
             }
         }
     }
@@ -419,8 +435,6 @@ mod tests {
         RunKey {
             experiment: experiment.id,
             quick: false,
-            instructions: Some(15_000),
-            warmup: Some(5_000),
             seed: Some(42),
             sampling: SamplingPolicy::Exact,
         }
@@ -432,9 +446,8 @@ mod tests {
         let experiment = find_experiment("table1").expect("registry");
         let cfg = ReproConfig::smoke();
         let (first, coalesced_first) =
-            sched.submit(experiment, key_for(experiment), cfg.clone(), None, 1);
-        let (second, coalesced_second) =
-            sched.submit(experiment, key_for(experiment), cfg, None, 1);
+            sched.submit(experiment, key_for(experiment), cfg.clone(), None);
+        let (second, coalesced_second) = sched.submit(experiment, key_for(experiment), cfg, None);
         assert!(!coalesced_first, "the first submission leads");
         assert!(
             coalesced_second,
@@ -465,13 +478,7 @@ mod tests {
     fn deadline_expired_waiter_detaches_without_poisoning_co_waiters() {
         let (sched, recorder) = scheduler(1);
         let experiment = find_experiment("table1").expect("registry");
-        let (slot, _) = sched.submit(
-            experiment,
-            key_for(experiment),
-            ReproConfig::smoke(),
-            None,
-            1,
-        );
+        let (slot, _) = sched.submit(experiment, key_for(experiment), ReproConfig::smoke(), None);
         // 43 benchmarks of simulation cannot finish in a millisecond: the
         // impatient waiter times out and detaches...
         assert!(
@@ -498,111 +505,23 @@ mod tests {
         id: "boom",
         aliases: &[],
         summary: "test-only run that always panics",
-        weight: 1,
         run: boom,
     };
 
     #[test]
     fn panicking_run_answers_waiters_cleanly_and_spares_the_worker() {
         let (sched, _recorder) = scheduler(1);
-        let (slot, _) = sched.submit(&BOOM, key_for(&BOOM), ReproConfig::smoke(), None, 1);
+        let (slot, _) = sched.submit(&BOOM, key_for(&BOOM), ReproConfig::smoke(), None);
         let output = slot.wait(Duration::from_secs(30)).expect("published error");
         let error = output.report.expect_err("panicking run maps to an error");
         assert!(error.contains("panicked"), "{error}");
         assert!(error.contains("injected run fault"), "{error}");
         // The worker survived the panic and still executes new runs.
         let experiment = find_experiment("table1").expect("registry");
-        let (next, _) = sched.submit(
-            experiment,
-            key_for(experiment),
-            ReproConfig::smoke(),
-            None,
-            1,
-        );
+        let (next, _) = sched.submit(experiment, key_for(experiment), ReproConfig::smoke(), None);
         let output = next.wait(Duration::from_secs(60)).expect("worker alive");
         assert!(output.report.is_ok());
         sched.shutdown(Duration::from_secs(10));
         assert_eq!(sched.pending(), 0);
-    }
-
-    #[test]
-    fn queued_runs_dispatch_largest_estimated_cost_first() {
-        let experiment = find_experiment("table1").expect("registry");
-        let queued = |cost: u64, seq: u64| QueuedRun {
-            cost,
-            seq,
-            key: key_for(experiment),
-            experiment,
-            cfg: ReproConfig::smoke(),
-            jobs: None,
-            slot: Arc::new(RunSlot::default()),
-        };
-        let mut heap = BinaryHeap::new();
-        heap.push(queued(10, 0));
-        heap.push(queued(700, 1));
-        heap.push(queued(700, 2));
-        heap.push(queued(43, 3));
-        let order: Vec<(u64, u64)> = std::iter::from_fn(|| heap.pop())
-            .map(|r| (r.cost, r.seq))
-            .collect();
-        assert_eq!(
-            order,
-            vec![(700, 1), (700, 2), (43, 3), (10, 0)],
-            "largest cost first, FIFO among equals"
-        );
-    }
-
-    #[test]
-    fn dispatch_order_is_stable_under_concurrent_submits() {
-        // Mirrors `submit`'s enqueue discipline — take a sequence number,
-        // then push under the queue lock — from many threads at once. The
-        // cost stored in each entry is priced exactly once (at submit), so
-        // however the pushes interleave, draining the heap must observe
-        // descending cost with strictly increasing seq among equals: no
-        // entry's priority can drift while it sits in the queue.
-        let experiment = find_experiment("table1").expect("registry");
-        let queue = Arc::new(Mutex::new(BinaryHeap::new()));
-        let seq = Arc::new(AtomicU64::new(0));
-        const THREADS: u64 = 8;
-        const PER_THREAD: u64 = 50;
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let queue = Arc::clone(&queue);
-                let seq = Arc::clone(&seq);
-                std::thread::spawn(move || {
-                    for i in 0..PER_THREAD {
-                        // Three cost classes, interleaved differently per
-                        // thread so equal-cost entries arrive from many
-                        // threads at once.
-                        let cost = [10u64, 500, 10_000][((t + i) % 3) as usize];
-                        let run = QueuedRun {
-                            cost,
-                            seq: seq.fetch_add(1, Ordering::SeqCst),
-                            key: key_for(experiment),
-                            experiment,
-                            cfg: ReproConfig::smoke(),
-                            jobs: None,
-                            slot: Arc::new(RunSlot::default()),
-                        };
-                        lock(&queue).push(run);
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().expect("submitter thread");
-        }
-        let mut queue = lock(&queue);
-        let drained: Vec<(u64, u64)> = std::iter::from_fn(|| queue.pop())
-            .map(|r| (r.cost, r.seq))
-            .collect();
-        assert_eq!(drained.len(), (THREADS * PER_THREAD) as usize);
-        for window in drained.windows(2) {
-            let ((cost_a, seq_a), (cost_b, seq_b)) = (window[0], window[1]);
-            assert!(
-                cost_a > cost_b || (cost_a == cost_b && seq_a < seq_b),
-                "unstable dispatch order: ({cost_a}, seq {seq_a}) before ({cost_b}, seq {seq_b})"
-            );
-        }
     }
 }

@@ -12,7 +12,7 @@
 //! |---|---|
 //! | `GET /healthz` | liveness + warm-cache size |
 //! | `GET /experiments` | the experiment registry as JSON |
-//! | `POST /run/{experiment}[?format=json\|text]` | run one experiment; JSON body for window/jobs/quick options |
+//! | `POST /run/{experiment}[?format=json\|text]` | run one experiment; JSON body for `quick`/`seed`/`sampling`/`jobs`/`deadline_ms` options |
 //! | `POST /run/{experiment}?stream=events` | same run, but streamed: live SSE progress events, terminated by the structured report |
 //! | `GET /events[?limit=N]` | firehose: every live telemetry event on the daemon, as SSE |
 //! | `GET /metrics` | live Prometheus text exposition of the shared recorder |
@@ -34,9 +34,8 @@
 //! # Live streaming
 //!
 //! `?stream=events` upgrades a run request to a chunked
-//! `text/event-stream`: a `start` event (run id, coalescing, an ETA hint
-//! from [`Experiment::weight`](crate::Experiment) scaled by observed
-//! cost), then live `phase_enter`/`phase_exit`, `progress` (jobs
+//! `text/event-stream`: a `start` event (run id, coalescing), then live
+//! `phase_enter`/`phase_exit`, `progress` (jobs
 //! done/total, memo + trace-store hit counts, elapsed-based ETA) and
 //! `counter` events filtered to exactly this run off the recorder's
 //! [`horizon_telemetry::EventBus`], and finally one `report` event whose
@@ -54,9 +53,9 @@
 //! deadline.
 //! Identical in-flight requests (same experiment + campaign options)
 //! coalesce onto a single execution whose result answers every waiter —
-//! counted by `serve.coalesced_runs` — while distinct runs queue to a
-//! dedicated run-worker pool in largest-estimated-cost-first order
-//! (`serve.active_runs` gauges the executing ones).
+//! counted by `serve.coalesced_runs` — while distinct runs queue, in
+//! arrival order, to a dedicated run-worker pool of the same size as the
+//! connection pool (`serve.active_runs` gauges the executing ones).
 //!
 //! # Robustness
 //!
@@ -87,23 +86,21 @@
 //!   the drain deadline, and return so the caller can flush telemetry
 //!   sinks and exit 0.
 
-use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use horizon_core::campaign::SamplingPolicy;
 use horizon_core::report_v1::ReportV1;
-use horizon_engine::Engine;
-use horizon_simpoint::SimPointConfig;
+use horizon_engine::{DiskCache, Engine, TraceStore};
 use horizon_telemetry::{EventKind, Recorder, TelemetryEvent, DEFAULT_SUBSCRIBER_CAPACITY};
 
 use serde::Value;
 
 use crate::http::{read_request, ChunkedWriter, HttpError, Limits, Request, Response};
-use crate::sched::{RunKey, RunOutput, RunScheduler};
+use crate::sched::{Pool, RunKey, RunOutput, RunScheduler, Saturated};
 use crate::{find_experiment, Experiment, ReproConfig, REGISTRY};
 
 /// Tuning knobs for [`Server::bind`].
@@ -201,100 +198,6 @@ mod signal {
     }
 }
 
-/// Error returned by [`Pool::try_submit`] when the queue is at capacity;
-/// carries the rejected item back so the caller can answer `503` on it.
-struct Saturated<T>(T);
-
-struct PoolShared<T> {
-    queue: Mutex<VecDeque<T>>,
-    ready: Condvar,
-    cap: usize,
-    stop: AtomicBool,
-}
-
-/// A fixed-size worker pool over a bounded FIFO queue of `T`, each item
-/// handled by one shared handler function. Shutdown is draining: workers
-/// finish every queued item before exiting.
-struct Pool<T: Send + 'static> {
-    shared: Arc<PoolShared<T>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl<T: Send + 'static> Pool<T> {
-    fn new(workers: usize, cap: usize, handler: impl Fn(T) + Send + Sync + 'static) -> Pool<T> {
-        let shared = Arc::new(PoolShared {
-            queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            cap: cap.max(1),
-            stop: AtomicBool::new(false),
-        });
-        let handler = Arc::new(handler);
-        let handles = (0..workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let handler = Arc::clone(&handler);
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn(move || loop {
-                        let item = {
-                            let mut queue = shared.queue.lock().expect("pool queue");
-                            loop {
-                                if let Some(item) = queue.pop_front() {
-                                    break Some(item);
-                                }
-                                if shared.stop.load(Ordering::SeqCst) {
-                                    break None;
-                                }
-                                queue = shared.ready.wait(queue).expect("pool queue");
-                            }
-                        };
-                        match item {
-                            // A panicking handler must not take the worker
-                            // (or the process) down with it.
-                            Some(item) => {
-                                let _ =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        handler(item)
-                                    }));
-                            }
-                            None => break,
-                        }
-                    })
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        Pool { shared, handles }
-    }
-
-    /// Enqueues `item` unless the queue is at capacity.
-    fn try_submit(&self, item: T) -> Result<(), Saturated<T>> {
-        {
-            let mut queue = self.shared.queue.lock().expect("pool queue");
-            if queue.len() >= self.shared.cap {
-                return Err(Saturated(item));
-            }
-            queue.push_back(item);
-        }
-        self.shared.ready.notify_one();
-        Ok(())
-    }
-
-    /// Queued (not yet claimed) items.
-    #[cfg(test)]
-    fn queued(&self) -> usize {
-        self.shared.queue.lock().expect("pool queue").len()
-    }
-
-    /// Drains the queue and joins every worker.
-    fn shutdown(self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.ready.notify_all();
-        for handle in self.handles {
-            let _ = handle.join();
-        }
-    }
-}
-
 /// State shared between the accept loop, connection workers and the run
 /// scheduler.
 struct ServerState {
@@ -311,39 +214,6 @@ struct ServerState {
     /// Mirror of [`Server::shutdown_handle`] (and the signal flag), so
     /// long-lived event streams notice shutdown and terminate cleanly.
     shutdown: Arc<AtomicBool>,
-    /// ETA cost model: observed execution nanoseconds per unit of
-    /// estimated run cost (`Experiment::weight` × campaign window),
-    /// fixed-point ×1000, EWMA-updated after each completed run. Zero
-    /// until the first run completes — no ETA hint before that.
-    nanos_per_cost_x1000: AtomicU64,
-}
-
-impl ServerState {
-    /// Folds a completed run into the ETA cost model.
-    fn observe_run_cost(&self, cost: u64, wall_ms: u128) {
-        if cost == 0 {
-            return;
-        }
-        let measured = (wall_ms as u64)
-            .saturating_mul(1_000_000)
-            .saturating_mul(1000)
-            / cost;
-        let old = self.nanos_per_cost_x1000.load(Ordering::Relaxed);
-        let next = if old == 0 {
-            measured
-        } else {
-            // Light EWMA: history dominates, one outlier can't swing it.
-            (old.saturating_mul(3).saturating_add(measured)) / 4
-        };
-        self.nanos_per_cost_x1000.store(next, Ordering::Relaxed);
-    }
-
-    /// ETA hint in milliseconds for a run of estimated `cost`, or `None`
-    /// before the model has seen any run.
-    fn eta_hint_ms(&self, cost: u64) -> Option<u64> {
-        let rate = self.nanos_per_cost_x1000.load(Ordering::Relaxed);
-        (rate != 0).then(|| cost.saturating_mul(rate) / 1000 / 1_000_000)
-    }
 }
 
 /// The daemon: a bound listener plus its worker pool. Construct with
@@ -388,7 +258,6 @@ impl Server {
             sched,
             queue_depth: AtomicUsize::new(0),
             shutdown: Arc::clone(&shutdown),
-            nanos_per_cost_x1000: AtomicU64::new(0),
         });
         let handler_state = Arc::clone(&state);
         let pool = Pool::new(
@@ -782,9 +651,8 @@ struct GcOptions {
 impl Default for GcOptions {
     fn default() -> Self {
         GcOptions {
-            max_entries: 1024,
-            // Mirrors the CLI's `cache-gc --max-trace-bytes` default.
-            max_trace_bytes: 256 << 20,
+            max_entries: DiskCache::DEFAULT_MAX_ENTRIES,
+            max_trace_bytes: TraceStore::DEFAULT_MAX_BYTES,
         }
     }
 }
@@ -818,8 +686,6 @@ fn parse_gc_options(request: &Request) -> Result<GcOptions, HttpError> {
 /// Per-request run options, mirroring the batch CLI flags.
 struct RunOptions {
     quick: bool,
-    instructions: Option<u64>,
-    warmup: Option<u64>,
     seed: Option<u64>,
     jobs: Option<usize>,
     deadline: Option<Duration>,
@@ -837,8 +703,6 @@ fn parse_run_options(request: &Request) -> Result<RunOptions, HttpError> {
     use serde::Deserialize;
     let mut opts = RunOptions {
         quick: false,
-        instructions: None,
-        warmup: None,
         seed: None,
         jobs: None,
         deadline: None,
@@ -847,9 +711,6 @@ fn parse_run_options(request: &Request) -> Result<RunOptions, HttpError> {
     if request.body.is_empty() {
         return Ok(opts);
     }
-    let mut sampling_mode: Option<String> = None;
-    let mut sampling_interval: Option<u64> = None;
-    let mut sampling_max_phases: Option<u64> = None;
     let value: Value = serde_json::from_str(request.body_str()?)
         .map_err(|e| HttpError::new(400, format!("invalid JSON body: {e}")))?;
     let Value::Map(entries) = value else {
@@ -861,17 +722,6 @@ fn parse_run_options(request: &Request) -> Result<RunOptions, HttpError> {
                 opts.quick = bool::from_value(value)
                     .map_err(|e| HttpError::new(400, format!("option 'quick': {e}")))?;
             }
-            "instructions" => {
-                let n = parse_u64(value, "instructions")?;
-                if n == 0 {
-                    return Err(HttpError::new(
-                        400,
-                        "option 'instructions' must be positive",
-                    ));
-                }
-                opts.instructions = Some(n);
-            }
-            "warmup" => opts.warmup = Some(parse_u64(value, "warmup")?),
             "seed" => opts.seed = Some(parse_u64(value, "seed")?),
             "jobs" => {
                 let n = parse_u64(value, "jobs")?;
@@ -890,54 +740,20 @@ fn parse_run_options(request: &Request) -> Result<RunOptions, HttpError> {
             "sampling" => {
                 let mode = String::from_value(value)
                     .map_err(|e| HttpError::new(400, format!("option 'sampling': {e}")))?;
-                if mode != "exact" && mode != "simpoint" {
-                    return Err(HttpError::new(
-                        400,
-                        "option 'sampling' must be 'exact' or 'simpoint'",
-                    ));
-                }
-                sampling_mode = Some(mode);
-            }
-            "sampling_interval" => {
-                let n = parse_u64(value, "sampling_interval")?;
-                if n == 0 {
-                    return Err(HttpError::new(
-                        400,
-                        "option 'sampling_interval' must be positive",
-                    ));
-                }
-                sampling_interval = Some(n);
-            }
-            "sampling_max_phases" => {
-                let n = parse_u64(value, "sampling_max_phases")?;
-                if n == 0 {
-                    return Err(HttpError::new(
-                        400,
-                        "option 'sampling_max_phases' must be positive",
-                    ));
-                }
-                sampling_max_phases = Some(n);
+                opts.sampling = Some(match mode.as_str() {
+                    "exact" => SamplingPolicy::Exact,
+                    "simpoint" => SamplingPolicy::simpoint_default(),
+                    _ => {
+                        return Err(HttpError::new(
+                            400,
+                            "option 'sampling' must be 'exact' or 'simpoint'",
+                        ))
+                    }
+                });
             }
             other => {
                 return Err(HttpError::new(400, format!("unknown option '{other}'")));
             }
-        }
-    }
-    if sampling_mode.as_deref() == Some("simpoint") {
-        opts.sampling = Some(SamplingPolicy::SimPoint {
-            interval: sampling_interval.unwrap_or(SimPointConfig::DEFAULT_INTERVAL),
-            max_phases: sampling_max_phases.unwrap_or(SimPointConfig::DEFAULT_MAX_PHASES),
-        });
-    } else {
-        if sampling_interval.is_some() || sampling_max_phases.is_some() {
-            return Err(HttpError::new(
-                400,
-                "options 'sampling_interval' and 'sampling_max_phases' require \
-                 \"sampling\": \"simpoint\"",
-            ));
-        }
-        if sampling_mode.is_some() {
-            opts.sampling = Some(SamplingPolicy::Exact);
         }
     }
     Ok(opts)
@@ -959,9 +775,6 @@ struct PreparedRun {
     opts: RunOptions,
     cfg: ReproConfig,
     key: RunKey,
-    /// The scheduler's cost estimate (`weight` × campaign window), also
-    /// the unit of the ETA cost model.
-    cost: u64,
 }
 
 fn prepare_run(name: &str, request: &Request) -> Result<PreparedRun, Response> {
@@ -982,12 +795,6 @@ fn prepare_run(name: &str, request: &Request) -> Result<PreparedRun, Response> {
     } else {
         ReproConfig::default()
     };
-    if let Some(instructions) = opts.instructions {
-        cfg.campaign.instructions = instructions;
-    }
-    if let Some(warmup) = opts.warmup {
-        cfg.campaign.warmup = warmup;
-    }
     if let Some(seed) = opts.seed {
         cfg.campaign.seed = seed;
     }
@@ -998,18 +805,14 @@ fn prepare_run(name: &str, request: &Request) -> Result<PreparedRun, Response> {
     let key = RunKey {
         experiment: experiment.id,
         quick: opts.quick,
-        instructions: opts.instructions,
-        warmup: opts.warmup,
         seed: opts.seed,
         sampling: cfg.campaign.sampling,
     };
-    let cost = crate::sched::estimated_cost(experiment, &cfg);
     Ok(PreparedRun {
         experiment,
         opts,
         cfg,
         key,
-        cost,
     })
 }
 
@@ -1072,9 +875,8 @@ fn run(state: &Arc<ServerState>, name: &str, request: &Request) -> Response {
         opts,
         cfg,
         key,
-        cost,
     } = prepared;
-    let (slot, coalesced) = state.sched.submit(experiment, key, cfg, opts.jobs, cost);
+    let (slot, coalesced) = state.sched.submit(experiment, key, cfg, opts.jobs);
     let deadline = opts.deadline.unwrap_or(state.opts.request_timeout);
 
     let rec = &state.recorder;
@@ -1091,7 +893,6 @@ fn run(state: &Arc<ServerState>, name: &str, request: &Request) -> Response {
             ),
         );
     };
-    state.observe_run_cost(cost, output.wall_ms);
     let report = match &output.report {
         Ok(report) => report.clone(),
         Err(message) => return Response::error(500, message),
@@ -1151,14 +952,13 @@ fn run_stream(
         opts,
         cfg,
         key,
-        cost,
     } = prepared;
 
     // Subscribe before submit: publish-before-slot-publish ordering then
     // guarantees every event of the run is in (or through) our ring by
     // the time the slot reports completion.
     let sub = state.recorder.bus().subscribe(DEFAULT_SUBSCRIBER_CAPACITY);
-    let (slot, coalesced) = state.sched.submit(experiment, key, cfg, opts.jobs, cost);
+    let (slot, coalesced) = state.sched.submit(experiment, key, cfg, opts.jobs);
     let run_id = slot.run_id();
     let deadline = opts.deadline.unwrap_or(state.opts.request_timeout);
     let rec = &state.recorder;
@@ -1172,19 +972,12 @@ fn run_stream(
     };
     let started = Instant::now();
     let mut progress = StreamProgress::new(run_id, started);
-    let start_data = {
-        let mut map = vec![
-            ("schema".into(), json_num(horizon_telemetry::EVENT_SCHEMA)),
-            ("experiment".into(), json_str(experiment.id)),
-            ("run".into(), json_num(run_id)),
-            ("coalesced".into(), Value::Bool(coalesced)),
-            ("weight".into(), json_num(experiment.weight)),
-        ];
-        if let Some(eta) = state.eta_hint_ms(cost) {
-            map.push(("eta_hint_ms".into(), json_num(eta)));
-        }
-        to_json(&Value::Map(map))
-    };
+    let start_data = to_json(&Value::Map(vec![
+        ("schema".into(), json_num(horizon_telemetry::EVENT_SCHEMA)),
+        ("experiment".into(), json_str(experiment.id)),
+        ("run".into(), json_num(run_id)),
+        ("coalesced".into(), Value::Bool(coalesced)),
+    ]));
     if writer
         .write_chunk(sse_frame("start", &start_data).as_bytes())
         .is_err()
@@ -1216,7 +1009,6 @@ fn run_stream(
                     }
                 }
             }
-            state.observe_run_cost(cost, output.wall_ms);
             let terminal = match &output.report {
                 Ok(report) => {
                     match run_json_body(state, experiment, opts.quick, coalesced, &output, report) {

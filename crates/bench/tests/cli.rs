@@ -259,16 +259,18 @@ fn cache_gc_prunes_and_reports() {
 fn trace_store_replays_across_processes_and_gc_prunes_it() {
     let dir = scratch_dir("trace-store");
     let cache = dir.join("cache");
-    let store = cache.join("traces");
+    let store = dir.join("traces");
 
-    // Cold run: --cache-dir implies a trace store at <cache-dir>/traces;
-    // every batch misses and writes a packed trace through.
+    // Cold run: every batch misses the named store and writes a packed
+    // trace through.
     let out = run(&[
         "table1",
         "--quick",
         "--stats",
         "--cache-dir",
         cache.to_str().unwrap(),
+        "--trace-store",
+        store.to_str().unwrap(),
     ]);
     assert!(out.status.success());
     let cold_report = String::from_utf8(out.stdout).unwrap();
@@ -307,33 +309,44 @@ fn trace_store_replays_across_processes_and_gc_prunes_it() {
         "stats: {warm_stats}"
     );
 
-    // --no-trace-store really disables the store: no counters appear.
-    let out = run(&["table1", "--quick", "--stats", "--no-trace-store"]);
-    assert!(out.status.success());
-    let off_stats = String::from_utf8(out.stderr).unwrap();
-    assert!(!off_stats.contains("trace store:"), "stats: {off_stats}");
-    assert_eq!(
-        String::from_utf8(out.stdout).unwrap(),
-        cold_report,
-        "disabling the store changed the report"
-    );
-
-    // The flags conflict.
+    // --cache-dir alone attaches no store: no traces/ directory appears
+    // and no counters are reported.
+    let cache_only = dir.join("cache-only");
     let out = run(&[
         "table1",
         "--quick",
-        "--trace-store",
-        store.to_str().unwrap(),
-        "--no-trace-store",
+        "--stats",
+        "--cache-dir",
+        cache_only.to_str().unwrap(),
+    ]);
+    assert!(out.status.success());
+    let off_stats = String::from_utf8(out.stderr).unwrap();
+    assert!(!off_stats.contains("trace store:"), "stats: {off_stats}");
+    assert!(!cache_only.join("traces").exists());
+    assert_eq!(
+        String::from_utf8(out.stdout).unwrap(),
+        cold_report,
+        "running without the store changed the report"
+    );
+
+    // A trace budget needs the store it applies to.
+    let out = run(&[
+        "cache-gc",
+        "--cache-dir",
+        cache.to_str().unwrap(),
+        "--max-trace-bytes",
+        "0",
     ]);
     assert_eq!(out.status.code(), Some(2));
 
-    // cache-gc prunes the implicit store down to a byte budget; budget 0
+    // cache-gc prunes the named store down to a byte budget; budget 0
     // clears it.
     let out = run(&[
         "cache-gc",
         "--cache-dir",
         cache.to_str().unwrap(),
+        "--trace-store",
+        store.to_str().unwrap(),
         "--max-trace-bytes",
         "0",
     ]);
@@ -438,6 +451,15 @@ fn unknown_flags_and_experiments_are_rejected() {
         ["serve", "--rate-limit", "5"],
     ] {
         let out = run(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+    }
+    // Neither the sampling knobs nor a store opt-out is a flag.
+    for args in [
+        &["table1", "--sampling-interval", "5000"][..],
+        &["table1", "--sampling-max-phases", "4"],
+        &["table1", "--no-trace-store"],
+    ] {
+        let out = run(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
     }
 }

@@ -495,6 +495,19 @@ fn daemon_rejects_malformed_requests_without_dying() {
     let (status, body) = daemon.post("/run/table1", "{\"frobnicate\":1}");
     assert_eq!(status, 400);
     assert!(body.contains("frobnicate"), "{body}");
+    // Window and sampling knobs are not run options.
+    for (body, option) in [
+        ("{\"instructions\":1000}", "instructions"),
+        ("{\"warmup\":10}", "warmup"),
+        (
+            "{\"sampling\":\"simpoint\",\"sampling_interval\":5000}",
+            "sampling_interval",
+        ),
+    ] {
+        let (status, response) = daemon.post("/run/table1", body);
+        assert_eq!(status, 400, "{body}: {response}");
+        assert!(response.contains(option), "{body}: {response}");
+    }
     let (status, body) = daemon.post("/run/table1?format=yaml", "{\"quick\":true}");
     assert_eq!(status, 400);
     assert!(body.contains("unknown format 'yaml'"), "{body}");

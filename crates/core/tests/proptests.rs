@@ -209,6 +209,37 @@ mod report_v1_props {
             }
         }
 
+        /// `from_json` answers arbitrary input with `Ok` or `Err`, never a
+        /// panic: any bytes (decoded lossily, since it takes `&str`) and
+        /// soup drawn from the JSON alphabet.
+        #[test]
+        fn from_json_never_panics_on_arbitrary_text(
+            bytes in proptest::collection::vec(0u32..256, 0..512),
+            soup in "[{}[\":,.0-9a-z \\\\+-]{0,256}",
+        ) {
+            let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+            let _ = ReportV1::from_json(&String::from_utf8_lossy(&bytes));
+            let _ = ReportV1::from_json(&soup);
+        }
+
+        /// A valid serialized report that was truncated is rejected, and
+        /// one with a single bit flipped never panics.
+        #[test]
+        fn from_json_never_panics_on_damaged_reports(
+            report in arbitrary_report(),
+            cut in any::<usize>(),
+            flip_at in any::<usize>(),
+            flip_bit in 0u32..8,
+        ) {
+            let json = serde_json::to_string(&report).unwrap().into_bytes();
+            let cut = cut % (json.len() + 1);
+            let truncated = ReportV1::from_json(&String::from_utf8_lossy(&json[..cut]));
+            prop_assert_eq!(truncated.is_ok(), cut == json.len());
+            let mut flipped = json.clone();
+            flipped[flip_at % json.len()] ^= 1 << flip_bit;
+            let _ = ReportV1::from_json(&String::from_utf8_lossy(&flipped));
+        }
+
         /// Tables rendered by `format_table` are recovered cell-for-cell.
         #[test]
         fn from_text_recovers_rendered_tables(

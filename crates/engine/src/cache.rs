@@ -77,6 +77,10 @@ pub struct DiskCache {
 }
 
 impl DiskCache {
+    /// The entry count `repro cache-gc` and the daemon's `POST /cache/gc`
+    /// prune the cache to when none is given.
+    pub const DEFAULT_MAX_ENTRIES: usize = 1024;
+
     /// Opens (creating if needed) a cache rooted at `dir`.
     ///
     /// # Errors

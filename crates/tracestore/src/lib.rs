@@ -14,9 +14,8 @@
 //!   budget, vs. 24 in memory.
 //! - [`TraceStore`] is a content-addressed directory of such files keyed
 //!   by [`TraceKey`] (a 128-bit hash of `(profile, seed, window)`), with
-//!   atomic write-then-rename publication ([`PendingTrace`]), an
-//!   [`index`](TraceStore::index), and byte-budgeted mtime-LRU eviction
-//!   ([`gc`](TraceStore::gc)).
+//!   atomic write-then-rename publication ([`PendingTrace`]) and
+//!   byte-budgeted mtime-LRU eviction ([`gc`](TraceStore::gc)).
 //!
 //! Everything is best-effort and self-validating: any corruption —
 //! truncation, bit flips, version skew — surfaces as a clean
@@ -33,4 +32,4 @@ pub mod store;
 pub use format::{
     Replay, TraceError, TraceReader, TraceWriter, FORMAT_VERSION, GRANULE_INSTRUCTIONS,
 };
-pub use store::{IndexEntry, PendingTrace, TraceGc, TraceKey, TraceStore};
+pub use store::{PendingTrace, TraceGc, TraceKey, TraceStore};

@@ -29,7 +29,7 @@ use std::time::{Duration, SystemTime};
 /// rather than a concurrent in-flight write. Crashed writers never clean
 /// up their temp file (`Drop` does not run), so without this sweep the
 /// orphans accumulate invisibly — they carry no `.trace` extension, so
-/// neither `index` nor the LRU pass ever sees them.
+/// the LRU pass never sees them.
 pub const TMP_ORPHAN_TTL: Duration = Duration::from_secs(60 * 60);
 
 /// A trace's content address: 32 lowercase hex digits over the
@@ -96,17 +96,6 @@ pub struct TraceGc {
     pub tmp_reclaimed_bytes: u64,
 }
 
-/// One trace visible in the store, as reported by [`TraceStore::index`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexEntry {
-    /// The trace's content address (file stem).
-    pub key: String,
-    /// Packed file size in bytes.
-    pub bytes: u64,
-    /// Last-use time (bumped by [`TraceStore::load`] hits).
-    pub modified: SystemTime,
-}
-
 /// A directory of packed traces, addressed by [`TraceKey`].
 #[derive(Debug, Clone)]
 pub struct TraceStore {
@@ -114,6 +103,10 @@ pub struct TraceStore {
 }
 
 impl TraceStore {
+    /// The byte budget `repro cache-gc` and the daemon's `POST /cache/gc`
+    /// prune the store to when none is given: 256 MiB.
+    pub const DEFAULT_MAX_BYTES: u64 = 256 << 20;
+
     /// Opens (creating if needed) a store rooted at `dir`.
     ///
     /// # Errors
@@ -165,34 +158,6 @@ impl TraceStore {
         })
     }
 
-    /// Lists the traces currently in the store, unordered.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error if the directory cannot be listed.
-    pub fn index(&self) -> std::io::Result<Vec<IndexEntry>> {
-        let mut entries = Vec::new();
-        for dirent in std::fs::read_dir(&self.dir)? {
-            let dirent = dirent?;
-            let path = dirent.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("trace") {
-                continue;
-            }
-            let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
-                continue;
-            };
-            let Ok(meta) = dirent.metadata() else {
-                continue;
-            };
-            entries.push(IndexEntry {
-                key: stem.to_string(),
-                bytes: meta.len(),
-                modified: meta.modified().unwrap_or(SystemTime::UNIX_EPOCH),
-            });
-        }
-        Ok(entries)
-    }
-
     /// Prunes the store down to `max_total_bytes` of trace data, deleting
     /// the least recently used files first (by mtime; [`TraceStore::load`]
     /// touches traces on every hit, ties break by file name). Emits a
@@ -207,17 +172,19 @@ impl TraceStore {
     /// or resists deletion mid-pass is skipped, not fatal.
     pub fn gc(&self, max_total_bytes: u64) -> std::io::Result<TraceGc> {
         let mut span = horizon_telemetry::span("tracestore.gc");
-        let mut entries: Vec<(SystemTime, PathBuf, u64)> = self
-            .index()?
-            .into_iter()
-            .map(|e| {
-                (
-                    e.modified,
-                    self.dir.join(format!("{}.trace", e.key)),
-                    e.bytes,
-                )
-            })
-            .collect();
+        let mut entries: Vec<(SystemTime, PathBuf, u64)> = Vec::new();
+        for dirent in std::fs::read_dir(&self.dir)? {
+            let dirent = dirent?;
+            let path = dirent.path();
+            if path.extension().and_then(|e| e.to_str()) != Some("trace") {
+                continue;
+            }
+            let Ok(meta) = dirent.metadata() else {
+                continue;
+            };
+            let modified = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
+            entries.push((modified, path, meta.len()));
+        }
         entries.sort();
 
         let mut report = TraceGc {
@@ -505,11 +472,13 @@ mod tests {
         // Touch the oldest trace via a load: it becomes the most recent.
         assert!(store.load(&keys[0]).is_some());
 
-        let per_trace = store
-            .index()
-            .unwrap()
+        let per_trace = keys
             .iter()
-            .map(|e| e.bytes)
+            .map(|key| {
+                std::fs::metadata(dir.join(format!("{key}.trace")))
+                    .unwrap()
+                    .len()
+            })
             .max()
             .unwrap();
         let report = store.gc(2 * per_trace + 1).unwrap();
@@ -573,21 +542,6 @@ mod tests {
         assert_eq!(report.removed, 0);
         assert!(!orphan_path.exists());
         assert!(store.load(&key).is_some());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn index_reports_published_traces() {
-        let dir = temp_dir("index");
-        let store = TraceStore::open(&dir).unwrap();
-        assert!(store.index().unwrap().is_empty());
-        let profile = sample_profile();
-        let key = TraceKey::of(&profile, 11, 1_500);
-        write_trace(&store, &key, &profile, 11, 1_500);
-        let index = store.index().unwrap();
-        assert_eq!(index.len(), 1);
-        assert_eq!(index[0].key, key.as_str());
-        assert!(index[0].bytes > 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -20,7 +20,8 @@ metric() {
   curl -fsS "${BASE}/metrics" | awk -v name="$1" '$1 == name {print $2}'
 }
 
-"${REPRO}" serve --addr "${ADDR}" --cache-dir .ci-cache 2> serve.log &
+"${REPRO}" serve --addr "${ADDR}" --cache-dir .ci-cache --trace-store .ci-cache/traces \
+  2> serve.log &
 SERVE_PID=$!
 for _ in $(seq 1 50); do
   if curl -fsS "${BASE}/healthz" > /dev/null 2>&1; then break; fi
@@ -45,7 +46,7 @@ echo "memo hits: ${hits_before} -> ${hits_after}"
 test "${hits_after}" -gt "${hits_before}"
 
 # Trace store: a fresh seed misses memo and disk cache, so table1 writes
-# packed traces through the implicit .ci-cache/traces store and fig2
+# packed traces through the .ci-cache/traces store and fig2
 # (same seed, mostly different machines) replays them.
 tr_hits_before=$(metric horizon_tracestore_hits)
 tr_hits_before=${tr_hits_before:-0}
