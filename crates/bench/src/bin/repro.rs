@@ -20,9 +20,6 @@
 //!                       replay them on later runs
 //!   --stats             print engine statistics and the per-phase
 //!                       wall-clock table to stderr when done
-//!   --progress          live progress lines on stderr while the run
-//!                       executes (phases, jobs done/total, ETA); stdout
-//!                       report bytes are unaffected
 //!   --trace-out <FILE>  write the run's telemetry trace as JSONL
 //!   --metrics-out <FILE> write counters/histograms in Prometheus text form
 //!   --otlp-out <FILE>   write spans as an OTLP/JSON trace-export document
@@ -42,15 +39,14 @@
 //! stays diffable.
 
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use horizon_bench::serve::{ServeOptions, Server};
 use horizon_bench::{find_experiment, run_experiment, ReproConfig, REGISTRY};
 use horizon_core::campaign::SamplingPolicy;
 use horizon_engine::{DiskCache, Engine, EngineStats, TraceStore};
-use horizon_telemetry::{EventKind, Recorder};
-use std::time::{Duration, Instant};
+use horizon_telemetry::Recorder;
+use std::time::Duration;
 
 struct Options {
     target: Option<String>,
@@ -61,7 +57,6 @@ struct Options {
     trace_store: Option<String>,
     max_trace_bytes: Option<u64>,
     stats: bool,
-    progress: bool,
     trace_out: Option<String>,
     metrics_out: Option<String>,
     otlp_out: Option<String>,
@@ -102,7 +97,6 @@ fn parse_args(args: &[String]) -> Result<Options, ParseError> {
         trace_store: None,
         max_trace_bytes: None,
         stats: false,
-        progress: false,
         trace_out: None,
         metrics_out: None,
         otlp_out: None,
@@ -135,7 +129,6 @@ fn parse_args(args: &[String]) -> Result<Options, ParseError> {
                 });
             }
             "--stats" => opts.stats = true,
-            "--progress" => opts.progress = true,
             "--jobs" => {
                 let v = value("--jobs")?;
                 let n = v
@@ -214,7 +207,7 @@ const SUBCOMMANDS: &str = "all, list, serve, cache-gc, help";
 fn usage() {
     eprintln!(
         "usage: repro <experiment|all|list> [--quick] [--sampling exact|simpoint] \
-         [--jobs N] [--cache-dir DIR] [--trace-store DIR] [--stats] [--progress] \
+         [--jobs N] [--cache-dir DIR] [--trace-store DIR] [--stats] \
          [--trace-out FILE] [--metrics-out FILE] [--otlp-out FILE]\n\
          \x20      repro cache-gc --cache-dir DIR [--max-entries N] \
          [--trace-store DIR [--max-trace-bytes N]]\n\
@@ -355,85 +348,6 @@ fn write_sink(
     }
 }
 
-/// Minimum spacing between `--progress` job-count lines, so a fast run
-/// doesn't flood stderr (phase transitions always print).
-const PROGRESS_THROTTLE: Duration = Duration::from_millis(150);
-
-/// The `--progress` stderr renderer: a thread subscribed to the live
-/// event bus, filtered to the batch run, printing phase transitions and
-/// throttled jobs-done/ETA lines. Strictly stderr — stdout report bytes
-/// stay diffable.
-struct ProgressView {
-    stop: Arc<AtomicBool>,
-    handle: std::thread::JoinHandle<()>,
-}
-
-impl ProgressView {
-    fn start(recorder: &Recorder, run: u64) -> ProgressView {
-        let sub = recorder
-            .bus()
-            .subscribe_run(horizon_telemetry::DEFAULT_SUBSCRIBER_CAPACITY, run);
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("repro-progress".into())
-            .spawn(move || {
-                let started = Instant::now();
-                let mut last_jobs_line: Option<Instant> = None;
-                loop {
-                    let Some(event) = sub.recv_timeout(Duration::from_millis(100)) else {
-                        if flag.load(Ordering::SeqCst) {
-                            // Stop only once the bus is drained: every
-                            // event published before the run finished is
-                            // already in the ring.
-                            break;
-                        }
-                        continue;
-                    };
-                    match event.kind {
-                        EventKind::PhaseEnter { name } => {
-                            eprintln!("progress: phase {name}");
-                        }
-                        EventKind::Progress {
-                            completed,
-                            total,
-                            cached: _,
-                        } => {
-                            let done = completed == total;
-                            let due =
-                                last_jobs_line.is_none_or(|at| at.elapsed() >= PROGRESS_THROTTLE);
-                            if !(done || due) {
-                                continue;
-                            }
-                            last_jobs_line = Some(Instant::now());
-                            let elapsed = started.elapsed().as_secs_f64();
-                            if completed > 0 && total > completed {
-                                let eta = elapsed * (total - completed) as f64 / completed as f64;
-                                eprintln!(
-                                    "progress: {completed}/{total} jobs  elapsed {elapsed:.1}s  \
-                                     eta {eta:.1}s"
-                                );
-                            } else {
-                                eprintln!(
-                                    "progress: {completed}/{total} jobs  elapsed {elapsed:.1}s"
-                                );
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-            })
-            .expect("spawn progress renderer");
-        ProgressView { stop, handle }
-    }
-
-    /// Drains remaining events and joins the renderer thread.
-    fn finish(self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = self.handle.join();
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse_args(&args) {
@@ -496,8 +410,8 @@ fn main() -> ExitCode {
     let engine = Arc::new(engine);
     Arc::clone(&engine).install();
 
-    // Batch runs carry a telemetry run id: live bus events, the JSONL
-    // trace meta line and OTLP trace ids all attribute to it. Scoped on
+    // Batch runs carry a telemetry run id: the JSONL trace's span and meta
+    // `run` labels and the OTLP trace ids all attribute to it. Scoped on
     // the main thread; the engine re-enters it on its workers.
     let run_id = horizon_telemetry::next_run_id();
     let _run_scope = horizon_telemetry::RunScope::enter(run_id);
@@ -506,17 +420,10 @@ fn main() -> ExitCode {
         opts.target.as_deref(),
         None | Some("help") | Some("serve") | Some("list") | Some("cache-gc")
     );
-    if opts.progress && !is_experiment_run {
-        eprintln!("error: flag '--progress' only applies to experiment runs");
-        return ExitCode::from(2);
-    }
     if opts.sampling.is_some() && !is_experiment_run {
         eprintln!("error: flag '--sampling' only applies to experiment runs");
         return ExitCode::from(2);
     }
-    let progress = opts
-        .progress
-        .then(|| ProgressView::start(&recorder, run_id));
 
     // The serve-only flags are rejected elsewhere so typos fail loudly
     // instead of being silently ignored.
@@ -592,10 +499,6 @@ fn main() -> ExitCode {
             }
         },
     };
-
-    if let Some(progress) = progress {
-        progress.finish();
-    }
 
     let snapshot = recorder.snapshot();
     if opts.stats {

@@ -78,14 +78,20 @@ impl Request {
             .map(|(_, v)| v.as_str())
     }
 
-    /// First value of a `?name=value` query parameter, if present. A bare
-    /// key with no `=` yields an empty value.
+    /// The `?name=value` query pairs in order. A bare key with no `=`
+    /// yields an empty value.
+    pub fn query_pairs(&self) -> impl Iterator<Item = (&str, &str)> {
+        let query = self.path.split_once('?').map_or("", |(_, query)| query);
+        query
+            .split('&')
+            .filter(|pair| !pair.is_empty())
+            .map(|pair| pair.split_once('=').unwrap_or((pair, "")))
+    }
+
+    /// First value of a `?name=value` query parameter, if present.
     pub fn query_param(&self, name: &str) -> Option<&str> {
-        let query = self.path.split_once('?')?.1;
-        query.split('&').find_map(|pair| {
-            let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
-            (key == name).then_some(value)
-        })
+        self.query_pairs()
+            .find_map(|(key, value)| (key == name).then_some(value))
     }
 }
 
@@ -401,78 +407,6 @@ impl Response {
     }
 }
 
-/// A streaming response using HTTP/1.1 chunked transfer encoding — the
-/// framing under the `repro serve` Server-Sent-Events endpoints, where
-/// the body length is unknown until the run completes.
-///
-/// Lifecycle: [`ChunkedWriter::begin`] writes the status line and headers
-/// (including `Transfer-Encoding: chunked` and `Connection: close` — a
-/// streamed response always ends its connection, keeping the keep-alive
-/// loop's framing trivially correct), [`ChunkedWriter::write_chunk`] sends
-/// one chunk per call (hex length, CRLF, data, CRLF) flushing immediately
-/// so events reach the client as they happen, and [`ChunkedWriter::finish`]
-/// terminates the stream with the zero-length chunk. Dropping without
-/// `finish` leaves the stream unterminated — clients see a truncated
-/// transfer, which is the honest signal for an aborted run.
-#[derive(Debug)]
-pub struct ChunkedWriter<'a, W: Write> {
-    out: &'a mut W,
-}
-
-impl<'a, W: Write> ChunkedWriter<'a, W> {
-    /// Writes the response head and returns the chunk writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `out` (typically a hung-up client).
-    pub fn begin(
-        out: &'a mut W,
-        status: u16,
-        content_type: &str,
-        extra_headers: &[(&'static str, String)],
-    ) -> io::Result<Self> {
-        write!(
-            out,
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\nCache-Control: no-store\r\n",
-            status,
-            status_text(status),
-            content_type,
-        )?;
-        for (name, value) in extra_headers {
-            write!(out, "{name}: {value}\r\n")?;
-        }
-        out.write_all(b"\r\n")?;
-        out.flush()?;
-        Ok(ChunkedWriter { out })
-    }
-
-    /// Sends one chunk and flushes. Empty data is skipped — a zero-length
-    /// chunk would terminate the stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `out`.
-    pub fn write_chunk(&mut self, data: &[u8]) -> io::Result<()> {
-        if data.is_empty() {
-            return Ok(());
-        }
-        write!(self.out, "{:x}\r\n", data.len())?;
-        self.out.write_all(data)?;
-        self.out.write_all(b"\r\n")?;
-        self.out.flush()
-    }
-
-    /// Terminates the stream (zero-length chunk, no trailers).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `out`.
-    pub fn finish(self) -> io::Result<()> {
-        self.out.write_all(b"0\r\n\r\n")?;
-        self.out.flush()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,80 +414,6 @@ mod tests {
 
     fn parse(input: &[u8]) -> Result<Request, HttpError> {
         read_request(&mut Cursor::new(input.to_vec()), &Limits::default())
-    }
-
-    /// Reference dechunker for the writer tests: parses `head + chunked
-    /// body` and returns (head, reassembled body).
-    fn dechunk(wire: &[u8]) -> (String, Vec<u8>) {
-        let text = String::from_utf8_lossy(wire);
-        let head_end = text.find("\r\n\r\n").expect("end of headers") + 4;
-        let head = text[..head_end].to_string();
-        let mut body = Vec::new();
-        let mut rest = &wire[head_end..];
-        loop {
-            let line_end = rest
-                .windows(2)
-                .position(|w| w == b"\r\n")
-                .expect("chunk size line");
-            let size = usize::from_str_radix(
-                std::str::from_utf8(&rest[..line_end]).expect("hex size"),
-                16,
-            )
-            .expect("valid hex");
-            rest = &rest[line_end + 2..];
-            if size == 0 {
-                assert_eq!(rest, b"\r\n", "terminal chunk ends the stream");
-                break;
-            }
-            body.extend_from_slice(&rest[..size]);
-            assert_eq!(&rest[size..size + 2], b"\r\n", "chunk data ends with CRLF");
-            rest = &rest[size + 2..];
-        }
-        (head, body)
-    }
-
-    #[test]
-    fn chunked_writer_frames_and_terminates() {
-        let mut wire = Vec::new();
-        {
-            let mut w = ChunkedWriter::begin(
-                &mut wire,
-                200,
-                "text/event-stream",
-                &[("X-Run", "7".to_string())],
-            )
-            .unwrap();
-            w.write_chunk(b"event: phase\ndata: {}\n\n").unwrap();
-            w.write_chunk(b"").unwrap(); // skipped, must not terminate
-            w.write_chunk(b"event: report\ndata: {\"ok\":true}\n\n")
-                .unwrap();
-            w.finish().unwrap();
-        }
-        let (head, body) = dechunk(&wire);
-        assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
-        assert!(head.contains("Transfer-Encoding: chunked\r\n"), "{head}");
-        assert!(head.contains("Content-Type: text/event-stream\r\n"));
-        assert!(head.contains("Connection: close\r\n"));
-        assert!(head.contains("X-Run: 7\r\n"));
-        assert!(!head.contains("Content-Length"), "chunked never has one");
-        assert_eq!(
-            body,
-            b"event: phase\ndata: {}\n\nevent: report\ndata: {\"ok\":true}\n\n"
-        );
-    }
-
-    #[test]
-    fn chunk_sizes_are_hex() {
-        let mut wire = Vec::new();
-        {
-            let mut w = ChunkedWriter::begin(&mut wire, 200, "text/event-stream", &[]).unwrap();
-            w.write_chunk(&[b'x'; 255]).unwrap();
-            w.finish().unwrap();
-        }
-        let text = String::from_utf8_lossy(&wire);
-        assert!(text.contains("\r\n\r\nff\r\n"), "255 renders as ff: {text}");
-        let (_, body) = dechunk(&wire);
-        assert_eq!(body.len(), 255);
     }
 
     #[test]
@@ -580,8 +440,11 @@ mod tests {
         assert_eq!(req.query_param("x"), Some("1"));
         assert_eq!(req.query_param("bare"), Some(""));
         assert_eq!(req.query_param("missing"), None);
+        let pairs: Vec<_> = req.query_pairs().collect();
+        assert_eq!(pairs, vec![("format", "text"), ("x", "1"), ("bare", "")]);
         let plain = parse(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
         assert_eq!(plain.query_param("format"), None);
+        assert_eq!(plain.query_pairs().count(), 0);
     }
 
     #[test]

@@ -1031,9 +1031,7 @@ pub fn find_experiment(name: &str) -> Option<&'static Experiment> {
 ///
 /// Propagates the experiment's error.
 pub fn run_experiment(e: &Experiment, cfg: &ReproConfig) -> Result<String, CoreError> {
-    // A phase span, so live-bus subscribers (SSE streams, `--progress`)
-    // see experiment enter/exit without following every leaf span.
-    let mut span = horizon_telemetry::phase_span("experiment");
+    let mut span = horizon_telemetry::span("experiment");
     span.record("id", e.id);
     (e.run)(cfg)
 }

@@ -183,8 +183,8 @@ pub(crate) struct RunOutput {
 #[derive(Debug, Default)]
 pub(crate) struct RunSlot {
     /// Telemetry run id the execution runs under — coalesced waiters
-    /// share the leader's id, so an SSE stream can filter the live bus
-    /// down to exactly this run's events.
+    /// share the leader's id, so the run's spans carry one `run` label in
+    /// the JSONL and OTLP traces.
     run_id: u64,
     output: Mutex<Option<RunOutput>>,
     done: Condvar,
@@ -196,11 +196,6 @@ impl RunSlot {
             run_id,
             ..RunSlot::default()
         }
-    }
-
-    /// The telemetry run id this slot's execution is attributed to.
-    pub(crate) fn run_id(&self) -> u64 {
-        self.run_id
     }
 
     /// Blocks until the run publishes (cloning its output) or `deadline`
@@ -369,9 +364,9 @@ fn execute(shared: &SchedShared, run: QueuedRun) {
     let before_disk = rec.counter_value("engine.disk_hits");
     let before_sim = rec.counter_value("engine.simulated_jobs");
     let started = Instant::now();
-    // Attribute everything this run records or publishes on the live bus
-    // (the engine re-enters the scope on its own workers).
-    let run_scope = horizon_telemetry::RunScope::enter(run.slot.run_id());
+    // Attribute every span this run records to its run id (the engine
+    // re-enters the scope on its own workers).
+    let run_scope = horizon_telemetry::RunScope::enter(run.slot.run_id);
     let result = catch_unwind(AssertUnwindSafe(|| {
         run_experiment(run.experiment, &run.cfg)
     }));

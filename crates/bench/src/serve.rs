@@ -13,8 +13,6 @@
 //! | `GET /healthz` | liveness + warm-cache size |
 //! | `GET /experiments` | the experiment registry as JSON |
 //! | `POST /run/{experiment}[?format=json\|text]` | run one experiment; JSON body for `quick`/`seed`/`sampling`/`jobs`/`deadline_ms` options |
-//! | `POST /run/{experiment}?stream=events` | same run, but streamed: live SSE progress events, terminated by the structured report |
-//! | `GET /events[?limit=N]` | firehose: every live telemetry event on the daemon, as SSE |
 //! | `GET /metrics` | live Prometheus text exposition of the shared recorder |
 //! | `POST /cache/gc` | LRU-prune the on-disk cache and trace store ([`horizon_engine::GcReport`] JSON; `max_entries` / `max_trace_bytes` body options) |
 //!
@@ -29,22 +27,9 @@
 //! trailing newline): both paths call [`crate::run_experiment`] with the same
 //! [`ReproConfig`], engine results are bit-identical regardless of worker
 //! count or cache state, and the structured view is *derived from* that
-//! same text, so the two formats can never disagree.
-//!
-//! # Live streaming
-//!
-//! `?stream=events` upgrades a run request to a chunked
-//! `text/event-stream`: a `start` event (run id, coalescing), then live
-//! `phase_enter`/`phase_exit`, `progress` (jobs
-//! done/total, memo + trace-store hit counts, elapsed-based ETA) and
-//! `counter` events filtered to exactly this run off the recorder's
-//! [`horizon_telemetry::EventBus`], and finally one `report` event whose
-//! payload is **byte-equivalent** to the non-streaming JSON response
-//! (modulo the measured `wall_ms`). Streaming is observation only — the
-//! run itself and its report bytes are identical with or without it.
-//! `GET /events` is the unfiltered counterpart: every event the daemon's
-//! recorder publishes, for dashboards; `?limit=N` closes after N events.
-//! Stream connections always close when done (`Connection: close`).
+//! same text, so the two formats can never disagree. `format` is the only
+//! query parameter; any other one is rejected with a `400` naming it, as
+//! unknown body options are.
 //!
 //! # Run scheduling
 //!
@@ -95,11 +80,11 @@ use std::time::{Duration, Instant};
 use horizon_core::campaign::SamplingPolicy;
 use horizon_core::report_v1::ReportV1;
 use horizon_engine::{DiskCache, Engine, TraceStore};
-use horizon_telemetry::{EventKind, Recorder, TelemetryEvent, DEFAULT_SUBSCRIBER_CAPACITY};
+use horizon_telemetry::Recorder;
 
 use serde::Value;
 
-use crate::http::{read_request, ChunkedWriter, HttpError, Limits, Request, Response};
+use crate::http::{read_request, HttpError, Limits, Request, Response};
 use crate::sched::{Pool, RunKey, RunOutput, RunScheduler, Saturated};
 use crate::{find_experiment, Experiment, ReproConfig, REGISTRY};
 
@@ -211,9 +196,6 @@ struct ServerState {
     /// Connections accepted but not yet claimed by a worker — gauged in
     /// `/healthz` and `/metrics` so saturation is visible before 503s.
     queue_depth: AtomicUsize,
-    /// Mirror of [`Server::shutdown_handle`] (and the signal flag), so
-    /// long-lived event streams notice shutdown and terminate cleanly.
-    shutdown: Arc<AtomicBool>,
 }
 
 /// The daemon: a bound listener plus its worker pool. Construct with
@@ -249,7 +231,6 @@ impl Server {
             Arc::clone(&recorder),
             default_jobs,
         );
-        let shutdown = Arc::new(AtomicBool::new(false));
         let state = Arc::new(ServerState {
             engine,
             recorder,
@@ -257,7 +238,6 @@ impl Server {
             started: Instant::now(),
             sched,
             queue_depth: AtomicUsize::new(0),
-            shutdown: Arc::clone(&shutdown),
         });
         let handler_state = Arc::clone(&state);
         let pool = Pool::new(
@@ -274,7 +254,7 @@ impl Server {
             local_addr,
             state,
             pool,
-            shutdown,
+            shutdown: Arc::new(AtomicBool::new(false)),
         })
     }
 
@@ -375,27 +355,7 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
                 span.record("path", request.path.as_str());
                 label = route_label(&request);
                 let keep = request.keep_alive && served + 1 < cap;
-                match stream_kind(&request) {
-                    // Streaming handlers own the socket from here: they
-                    // write a chunked response themselves and the
-                    // connection always closes afterwards (the stream has
-                    // no framed length to resynchronize keep-alive on).
-                    Some(kind) => match serve_stream(state, kind, &request, reader.get_mut()) {
-                        StreamOutcome::Streamed(status) => {
-                            span.record("status", u64::from(status));
-                            span.record("streamed", true);
-                            match status / 100 {
-                                2 => rec.counter_add("serve.http_2xx", 1),
-                                4 => rec.counter_add("serve.http_4xx", 1),
-                                _ => rec.counter_add("serve.http_5xx", 1),
-                            }
-                            finish_request_telemetry(state, label, started);
-                            return;
-                        }
-                        StreamOutcome::Plain(response) => (response, keep),
-                    },
-                    None => (route(state, &request), keep),
-                }
+                (route(state, &request), keep)
             }
             Err(e) => {
                 rec.counter_add("serve.bad_requests", 1);
@@ -410,7 +370,17 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
             4 => rec.counter_add("serve.http_4xx", 1),
             _ => rec.counter_add("serve.http_5xx", 1),
         }
-        finish_request_telemetry(state, label, started);
+        rec.histogram_record("serve.request_wall_ns", started.elapsed().as_nanos() as u64);
+        rec.histogram_record_labeled(
+            "serve.request_wall_ms",
+            "route",
+            label,
+            started.elapsed().as_millis() as u64,
+        );
+        rec.gauge_set(
+            "serve.queue_depth",
+            state.queue_depth.load(Ordering::SeqCst) as i64,
+        );
         if response.write_to(reader.get_mut(), keep).is_err() {
             rec.counter_add("serve.write_failures", 1);
             break;
@@ -443,24 +413,6 @@ fn reject_saturated(state: &ServerState, mut stream: TcpStream) {
     }
 }
 
-/// Per-request telemetry common to framed and streamed responses: the
-/// overall wall histogram, the per-route labeled wall histogram, and a
-/// sample of the accept-queue depth gauge.
-fn finish_request_telemetry(state: &ServerState, label: &'static str, started: Instant) {
-    let rec = &state.recorder;
-    rec.histogram_record("serve.request_wall_ns", started.elapsed().as_nanos() as u64);
-    rec.histogram_record_labeled(
-        "serve.request_wall_ms",
-        "route",
-        label,
-        started.elapsed().as_millis() as u64,
-    );
-    rec.gauge_set(
-        "serve.queue_depth",
-        state.queue_depth.load(Ordering::SeqCst) as i64,
-    );
-}
-
 /// Static route label for the `serve.request_wall_ms{route=…}` histogram
 /// family — one series per endpoint, never per path (unbounded label
 /// cardinality is how metrics stores die).
@@ -471,63 +423,9 @@ fn route_label(request: &Request) -> &'static str {
         "/experiments" => "experiments",
         "/metrics" => "metrics",
         "/cache/gc" => "cache_gc",
-        "/events" => "events",
         _ if path.starts_with("/run/") => "run",
         _ => "other",
     }
-}
-
-/// A request that must be answered as a live event stream rather than a
-/// framed response.
-enum StreamKind<'a> {
-    /// `POST /run/{experiment}?stream=…` — one run's progress.
-    Run(&'a str),
-    /// `GET /events` — the unfiltered daemon-wide event firehose.
-    Firehose,
-}
-
-/// Detects stream requests before normal routing. Returns `None` for
-/// everything the framed [`route`] table should handle.
-fn stream_kind(request: &Request) -> Option<StreamKind<'_>> {
-    let path = request.path.split('?').next().unwrap_or("");
-    if request.method == "GET" && path == "/events" {
-        return Some(StreamKind::Firehose);
-    }
-    if request.method == "POST"
-        && path.starts_with("/run/")
-        && request.query_param("stream").is_some()
-    {
-        return Some(StreamKind::Run(&path["/run/".len()..]));
-    }
-    None
-}
-
-/// What a streaming handler did with the socket.
-enum StreamOutcome {
-    /// The handler wrote a chunked response head (status recorded here);
-    /// the connection must close — there is no framed boundary to reuse.
-    Streamed(u16),
-    /// Pre-stream validation failed before any byte hit the wire; answer
-    /// as a normal framed response (keep-alive still possible).
-    Plain(Response),
-}
-
-/// Dispatches a detected stream request.
-fn serve_stream(
-    state: &Arc<ServerState>,
-    kind: StreamKind<'_>,
-    request: &Request,
-    out: &mut TcpStream,
-) -> StreamOutcome {
-    match kind {
-        StreamKind::Run(name) => run_stream(state, name, request, out),
-        StreamKind::Firehose => firehose(state, request, out),
-    }
-}
-
-/// One SSE frame: `event: <name>` + `data: <json>` + blank line.
-fn sse_frame(event: &str, data: &str) -> String {
-    format!("event: {event}\ndata: {data}\n\n")
 }
 
 /// Routes a parsed request to its endpoint handler.
@@ -541,9 +439,7 @@ fn route(state: &Arc<ServerState>, request: &Request) -> Response {
         ("POST", run_path) if run_path.starts_with("/run/") => {
             run(state, &run_path["/run/".len()..], request)
         }
-        // `GET /events` never reaches this table — `stream_kind`
-        // intercepts it — so any `/events` seen here is a bad method.
-        (_, "/healthz" | "/experiments" | "/metrics" | "/events") => {
+        (_, "/healthz" | "/experiments" | "/metrics") => {
             Response::error(405, "method not allowed").with_header("Allow", "GET")
         }
         (_, "/cache/gc") => Response::error(405, "method not allowed").with_header("Allow", "POST"),
@@ -587,10 +483,6 @@ fn healthz(state: &ServerState) -> Response {
         (
             "queue_depth".into(),
             json_num(state.queue_depth.load(Ordering::SeqCst)),
-        ),
-        (
-            "event_subscribers".into(),
-            json_num(state.recorder.bus().subscriber_count()),
         ),
     ]);
     Response::json(200, to_json(&body))
@@ -767,58 +659,7 @@ enum RunFormat {
     Text,
 }
 
-/// Everything `POST /run` needs before touching the scheduler — shared
-/// by the framed handler and the SSE stream so both validate (and fail)
-/// identically.
-struct PreparedRun {
-    experiment: &'static Experiment,
-    opts: RunOptions,
-    cfg: ReproConfig,
-    key: RunKey,
-}
-
-fn prepare_run(name: &str, request: &Request) -> Result<PreparedRun, Response> {
-    let Some(experiment) = find_experiment(name) else {
-        let known: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
-        return Err(Response::error(
-            404,
-            &format!("unknown experiment '{name}' (known: {})", known.join(", ")),
-        ));
-    };
-    let opts = match parse_run_options(request) {
-        Ok(opts) => opts,
-        Err(e) => return Err(Response::error(e.status, &e.message)),
-    };
-
-    let mut cfg = if opts.quick {
-        ReproConfig::quick()
-    } else {
-        ReproConfig::default()
-    };
-    if let Some(seed) = opts.seed {
-        cfg.campaign.seed = seed;
-    }
-    if let Some(sampling) = opts.sampling {
-        cfg.campaign.sampling = sampling;
-    }
-
-    let key = RunKey {
-        experiment: experiment.id,
-        quick: opts.quick,
-        seed: opts.seed,
-        sampling: cfg.campaign.sampling,
-    };
-    Ok(PreparedRun {
-        experiment,
-        opts,
-        cfg,
-        key,
-    })
-}
-
-/// The structured JSON body for a successful run — shared verbatim by
-/// the framed `?format=json` response and the SSE terminal `report`
-/// event, so a streaming client receives a byte-equivalent payload.
+/// The structured JSON body for a successful `?format=json` run.
 fn run_json_body(
     state: &ServerState,
     experiment: &Experiment,
@@ -856,6 +697,20 @@ fn run_json_body(
 /// structured `report_v1` JSON or, with `?format=text`, the batch-stdout
 /// report text.
 fn run(state: &Arc<ServerState>, name: &str, request: &Request) -> Response {
+    let unknown: Vec<&str> = request
+        .query_pairs()
+        .map(|(key, _)| key)
+        .filter(|&key| key != "format")
+        .collect();
+    if !unknown.is_empty() {
+        return Response::error(
+            400,
+            &format!(
+                "unknown query parameter(s) '{}' (known: format)",
+                unknown.join("', '")
+            ),
+        );
+    }
     let format = match request.query_param("format") {
         None | Some("json") => RunFormat::Json,
         Some("text") => RunFormat::Text,
@@ -866,16 +721,35 @@ fn run(state: &Arc<ServerState>, name: &str, request: &Request) -> Response {
             )
         }
     };
-    let prepared = match prepare_run(name, request) {
-        Ok(prepared) => prepared,
-        Err(response) => return response,
+    let Some(experiment) = find_experiment(name) else {
+        let known: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
+        return Response::error(
+            404,
+            &format!("unknown experiment '{name}' (known: {})", known.join(", ")),
+        );
     };
-    let PreparedRun {
-        experiment,
-        opts,
-        cfg,
-        key,
-    } = prepared;
+    let opts = match parse_run_options(request) {
+        Ok(opts) => opts,
+        Err(e) => return Response::error(e.status, &e.message),
+    };
+
+    let mut cfg = if opts.quick {
+        ReproConfig::quick()
+    } else {
+        ReproConfig::default()
+    };
+    if let Some(seed) = opts.seed {
+        cfg.campaign.seed = seed;
+    }
+    if let Some(sampling) = opts.sampling {
+        cfg.campaign.sampling = sampling;
+    }
+    let key = RunKey {
+        experiment: experiment.id,
+        quick: opts.quick,
+        seed: opts.seed,
+        sampling: cfg.campaign.sampling,
+    };
     let (slot, coalesced) = state.sched.submit(experiment, key, cfg, opts.jobs);
     let deadline = opts.deadline.unwrap_or(state.opts.request_timeout);
 
@@ -907,289 +781,6 @@ fn run(state: &Arc<ServerState>, name: &str, request: &Request) -> Response {
             }
         }
     }
-}
-
-/// How long a run stream blocks for the next bus event before polling
-/// the run slot and the clock again.
-const STREAM_POLL: Duration = Duration::from_millis(50);
-
-/// `POST /run/{experiment}?stream=events`: the streaming run handler.
-///
-/// Subscribes to the recorder's event bus *before* submitting to the
-/// scheduler (the run cannot start earlier, so no event is missed), then
-/// forwards this run's phase/progress/counter events as SSE frames while
-/// waiting on the slot. Ends with a `report` event carrying the same
-/// JSON body as the non-streaming response, or `error` / `timeout`.
-fn run_stream(
-    state: &Arc<ServerState>,
-    name: &str,
-    request: &Request,
-    out: &mut TcpStream,
-) -> StreamOutcome {
-    match request.query_param("stream") {
-        Some("events") => {}
-        Some(other) => {
-            return StreamOutcome::Plain(Response::error(
-                400,
-                &format!("unknown stream mode '{other}' (known: events)"),
-            ));
-        }
-        None => unreachable!("stream_kind only matches with a stream param"),
-    }
-    if request.query_param("format").is_some() {
-        return StreamOutcome::Plain(Response::error(
-            400,
-            "'format' cannot combine with stream=events (the terminal 'report' event carries \
-             the structured JSON body)",
-        ));
-    }
-    let prepared = match prepare_run(name, request) {
-        Ok(prepared) => prepared,
-        Err(response) => return StreamOutcome::Plain(response),
-    };
-    let PreparedRun {
-        experiment,
-        opts,
-        cfg,
-        key,
-    } = prepared;
-
-    // Subscribe before submit: publish-before-slot-publish ordering then
-    // guarantees every event of the run is in (or through) our ring by
-    // the time the slot reports completion.
-    let sub = state.recorder.bus().subscribe(DEFAULT_SUBSCRIBER_CAPACITY);
-    let (slot, coalesced) = state.sched.submit(experiment, key, cfg, opts.jobs);
-    let run_id = slot.run_id();
-    let deadline = opts.deadline.unwrap_or(state.opts.request_timeout);
-    let rec = &state.recorder;
-
-    let mut writer = match ChunkedWriter::begin(out, 200, "text/event-stream", &[]) {
-        Ok(writer) => writer,
-        Err(_) => {
-            rec.counter_add("serve.write_failures", 1);
-            return StreamOutcome::Streamed(200);
-        }
-    };
-    let started = Instant::now();
-    let mut progress = StreamProgress::new(run_id, started);
-    let start_data = to_json(&Value::Map(vec![
-        ("schema".into(), json_num(horizon_telemetry::EVENT_SCHEMA)),
-        ("experiment".into(), json_str(experiment.id)),
-        ("run".into(), json_num(run_id)),
-        ("coalesced".into(), Value::Bool(coalesced)),
-    ]));
-    if writer
-        .write_chunk(sse_frame("start", &start_data).as_bytes())
-        .is_err()
-    {
-        rec.counter_add("serve.write_failures", 1);
-        return StreamOutcome::Streamed(200);
-    }
-
-    let end = started + deadline;
-    loop {
-        // Forward everything buffered, then check completion *after* the
-        // drain so run events always precede the terminal event.
-        while let Some(event) = sub.try_recv() {
-            if let Some(frame) = progress.frame_for(&event) {
-                if writer.write_chunk(frame.as_bytes()).is_err() {
-                    rec.counter_add("serve.write_failures", 1);
-                    return StreamOutcome::Streamed(200);
-                }
-            }
-        }
-        if let Some(output) = slot.wait(Duration::ZERO) {
-            // Completion observed: drain what was published before the
-            // slot, then terminate.
-            while let Some(event) = sub.try_recv() {
-                if let Some(frame) = progress.frame_for(&event) {
-                    if writer.write_chunk(frame.as_bytes()).is_err() {
-                        rec.counter_add("serve.write_failures", 1);
-                        return StreamOutcome::Streamed(200);
-                    }
-                }
-            }
-            let terminal = match &output.report {
-                Ok(report) => {
-                    match run_json_body(state, experiment, opts.quick, coalesced, &output, report) {
-                        Ok(body) => sse_frame("report", &body),
-                        Err(message) => sse_frame(
-                            "error",
-                            &to_json(&Value::Map(vec![("error".into(), json_str(&message))])),
-                        ),
-                    }
-                }
-                Err(message) => sse_frame(
-                    "error",
-                    &to_json(&Value::Map(vec![("error".into(), json_str(message))])),
-                ),
-            };
-            if writer.write_chunk(terminal.as_bytes()).is_err() || writer.finish().is_err() {
-                rec.counter_add("serve.write_failures", 1);
-            }
-            return StreamOutcome::Streamed(200);
-        }
-        if Instant::now() >= end {
-            rec.counter_add("serve.deadline_exceeded", 1);
-            let data = to_json(&Value::Map(vec![
-                ("experiment".into(), json_str(experiment.id)),
-                ("deadline_ms".into(), json_num(deadline.as_millis())),
-                (
-                    "detail".into(),
-                    json_str(
-                        "this waiter detached; the run continues on the scheduler and the warm \
-                         cache makes a retry cheap",
-                    ),
-                ),
-            ]));
-            if writer
-                .write_chunk(sse_frame("timeout", &data).as_bytes())
-                .is_err()
-                || writer.finish().is_err()
-            {
-                rec.counter_add("serve.write_failures", 1);
-            }
-            return StreamOutcome::Streamed(200);
-        }
-        // Block until the next event, the poll interval, or bus close.
-        if let Some(event) = sub.recv_timeout(STREAM_POLL) {
-            if let Some(frame) = progress.frame_for(&event) {
-                if writer.write_chunk(frame.as_bytes()).is_err() {
-                    rec.counter_add("serve.write_failures", 1);
-                    return StreamOutcome::Streamed(200);
-                }
-            }
-        }
-    }
-}
-
-/// Per-stream accumulator turning bus events into enriched SSE frames.
-struct StreamProgress {
-    run_id: u64,
-    started: Instant,
-    memo_hits: u64,
-    disk_hits: u64,
-    trace_hits: u64,
-}
-
-impl StreamProgress {
-    fn new(run_id: u64, started: Instant) -> StreamProgress {
-        StreamProgress {
-            run_id,
-            started,
-            memo_hits: 0,
-            disk_hits: 0,
-            trace_hits: 0,
-        }
-    }
-
-    /// The SSE frame for one bus event, or `None` for events this stream
-    /// suppresses (other runs; span noise — the `/events` firehose has
-    /// those).
-    fn frame_for(&mut self, event: &TelemetryEvent) -> Option<String> {
-        if event.run != self.run_id {
-            return None;
-        }
-        match &event.kind {
-            EventKind::PhaseEnter { .. } | EventKind::PhaseExit { .. } => {
-                Some(sse_frame(event.kind.label(), &event.to_json()))
-            }
-            EventKind::CounterDelta { name, delta, .. } => {
-                match *name {
-                    "engine.memo_hits" => self.memo_hits += delta,
-                    "engine.disk_hits" => self.disk_hits += delta,
-                    "tracestore.hits" => self.trace_hits += delta,
-                    _ => {}
-                }
-                Some(sse_frame("counter", &event.to_json()))
-            }
-            EventKind::Progress {
-                completed,
-                total,
-                cached,
-            } => {
-                let elapsed_ms = self.started.elapsed().as_millis() as u64;
-                let mut map = vec![
-                    ("schema".into(), json_num(horizon_telemetry::EVENT_SCHEMA)),
-                    ("seq".into(), json_num(event.seq)),
-                    ("run".into(), json_num(event.run)),
-                    ("completed".into(), json_num(*completed)),
-                    ("total".into(), json_num(*total)),
-                    ("cached".into(), Value::Bool(*cached)),
-                    ("memo_hits".into(), json_num(self.memo_hits)),
-                    ("disk_hits".into(), json_num(self.disk_hits)),
-                    ("tracestore_hits".into(), json_num(self.trace_hits)),
-                    ("elapsed_ms".into(), json_num(elapsed_ms)),
-                ];
-                if *completed > 0 && total > completed {
-                    let eta = elapsed_ms.saturating_mul(total - completed) / completed;
-                    map.push(("eta_ms".into(), json_num(eta)));
-                }
-                Some(sse_frame("progress", &to_json(&Value::Map(map))))
-            }
-            EventKind::SpanStart { .. } | EventKind::SpanEnd { .. } => None,
-        }
-    }
-}
-
-/// `GET /events`: stream every live telemetry event on the daemon as SSE
-/// until the client hangs up, shutdown begins, or `?limit=N` is reached.
-/// Idle periods emit SSE keep-alive comments so a dead client is noticed
-/// even when no runs are active.
-fn firehose(state: &Arc<ServerState>, request: &Request, out: &mut TcpStream) -> StreamOutcome {
-    let limit = match request.query_param("limit") {
-        None => u64::MAX,
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                return StreamOutcome::Plain(Response::error(
-                    400,
-                    "'limit' must be a positive integer",
-                ));
-            }
-        },
-    };
-    let rec = &state.recorder;
-    let sub = rec.bus().subscribe(DEFAULT_SUBSCRIBER_CAPACITY);
-    let mut writer = match ChunkedWriter::begin(out, 200, "text/event-stream", &[]) {
-        Ok(writer) => writer,
-        Err(_) => {
-            rec.counter_add("serve.write_failures", 1);
-            return StreamOutcome::Streamed(200);
-        }
-    };
-    let mut sent = 0u64;
-    let mut last_activity = Instant::now();
-    while sent < limit {
-        if state.shutdown.load(Ordering::SeqCst) || signal::requested() {
-            break;
-        }
-        match sub.recv_timeout(Duration::from_millis(250)) {
-            Some(event) => {
-                let frame = sse_frame(event.kind.label(), &event.to_json());
-                if writer.write_chunk(frame.as_bytes()).is_err() {
-                    rec.counter_add("serve.write_failures", 1);
-                    return StreamOutcome::Streamed(200);
-                }
-                sent += 1;
-                last_activity = Instant::now();
-            }
-            None => {
-                // Quiet bus: send an SSE comment every ~2 s so a
-                // hung-up client surfaces as a write error instead of a
-                // subscription leak.
-                if last_activity.elapsed() >= Duration::from_secs(2) {
-                    if writer.write_chunk(b": keep-alive\n\n").is_err() {
-                        rec.counter_add("serve.write_failures", 1);
-                        return StreamOutcome::Streamed(200);
-                    }
-                    last_activity = Instant::now();
-                }
-            }
-        }
-    }
-    let _ = writer.finish();
-    StreamOutcome::Streamed(200)
 }
 
 #[cfg(test)]
@@ -1468,6 +1059,8 @@ mod tests {
 
         let missing = request(addr, "GET /nope HTTP/1.1\r\nHost: x\r\n\r\n");
         assert!(missing.starts_with("HTTP/1.1 404 "), "{missing}");
+        let events = request(addr, "GET /events HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert!(events.starts_with("HTTP/1.1 404 "), "{events}");
         let bad_method = request(addr, "DELETE /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
         assert!(bad_method.starts_with("HTTP/1.1 405 "), "{bad_method}");
         assert!(bad_method.contains("Allow: GET"), "{bad_method}");

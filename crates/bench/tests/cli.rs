@@ -362,14 +362,13 @@ fn trace_store_replays_across_processes_and_gc_prunes_it() {
 }
 
 #[test]
-fn progress_and_otlp_sinks_leave_the_report_bytes_alone() {
-    let dir = scratch_dir("progress-otlp");
+fn otlp_and_trace_sinks_leave_the_report_bytes_alone() {
+    let dir = scratch_dir("otlp");
     let otlp = dir.join("otlp.json");
     let trace = dir.join("trace.jsonl");
     let with_sinks = run(&[
         "table1",
         "--quick",
-        "--progress",
         "--otlp-out",
         otlp.to_str().unwrap(),
         "--trace-out",
@@ -380,20 +379,7 @@ fn progress_and_otlp_sinks_leave_the_report_bytes_alone() {
     assert!(plain.status.success());
     assert_eq!(
         with_sinks.stdout, plain.stdout,
-        "--progress/--otlp-out altered the stdout report"
-    );
-
-    // Progress goes to stderr: phase transitions and jobs-done lines.
-    let stderr = String::from_utf8(with_sinks.stderr).unwrap();
-    assert!(
-        stderr.lines().any(|l| l.starts_with("progress: phase ")),
-        "no phase progress lines: {stderr}"
-    );
-    assert!(
-        stderr
-            .lines()
-            .any(|l| l.starts_with("progress: ") && l.contains("jobs")),
-        "no job-count progress lines: {stderr}"
+        "--otlp-out/--trace-out altered the stdout report"
     );
 
     // The trace meta line attributes the run (schema 2).
@@ -426,11 +412,6 @@ fn progress_and_otlp_sinks_leave_the_report_bytes_alone() {
         assert!(start <= end);
     }
 
-    // `--progress` is an experiment-run flag; elsewhere it is a usage
-    // error, same as the misplaced serve flags.
-    let out = run(&["list", "--progress"]);
-    assert_eq!(out.status.code(), Some(2));
-
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -453,11 +434,13 @@ fn unknown_flags_and_experiments_are_rejected() {
         let out = run(&args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
     }
-    // Neither the sampling knobs nor a store opt-out is a flag.
+    // Neither the sampling knobs, a store opt-out nor live progress is a
+    // flag.
     for args in [
         &["table1", "--sampling-interval", "5000"][..],
         &["table1", "--sampling-max-phases", "4"],
         &["table1", "--no-trace-store"],
+        &["table1", "--progress"],
     ] {
         let out = run(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

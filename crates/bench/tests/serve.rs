@@ -148,240 +148,6 @@ fn prometheus_counter(metrics: &str, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("no counter '{name}' in metrics:\n{metrics}"))
 }
 
-/// Sends one request and reads the socket to EOF (stream responses
-/// always close), returning (status, body) with chunked transfer
-/// decoding applied when the response used it.
-fn stream_request(addr: &str, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to daemon");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
-    let raw = format!(
-        "{method} {path} HTTP/1.1\r\nHost: repro\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(raw.as_bytes()).expect("send request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read stream");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("no status line in: {response}"));
-    let (head, payload) = response.split_once("\r\n\r\n").expect("header boundary");
-    if head
-        .to_ascii_lowercase()
-        .contains("transfer-encoding: chunked")
-    {
-        (status, dechunk(payload))
-    } else {
-        (status, payload.to_string())
-    }
-}
-
-/// Reassembles a chunked transfer body (hex size line, chunk, CRLF, …,
-/// terminated by the zero chunk).
-fn dechunk(mut body: &str) -> String {
-    let mut out = String::new();
-    loop {
-        let (size_line, rest) = body.split_once("\r\n").expect("chunk size line");
-        let size = usize::from_str_radix(size_line.trim(), 16).expect("hex chunk size");
-        if size == 0 {
-            return out;
-        }
-        out.push_str(&rest[..size]);
-        body = &rest[size + 2..];
-    }
-}
-
-/// Splits an SSE body into `(event, data)` pairs, skipping comments.
-fn parse_sse(body: &str) -> Vec<(String, String)> {
-    body.split("\n\n")
-        .filter(|block| !block.trim().is_empty() && !block.starts_with(':'))
-        .map(|block| {
-            let mut event = String::new();
-            let mut data = String::new();
-            for line in block.lines() {
-                if let Some(v) = line.strip_prefix("event: ") {
-                    event = v.to_string();
-                } else if let Some(v) = line.strip_prefix("data: ") {
-                    data = v.to_string();
-                }
-            }
-            (event, data)
-        })
-        .collect()
-}
-
-#[test]
-fn streamed_run_emits_ordered_events_then_the_report() {
-    let daemon = Daemon::spawn(&[]);
-
-    // Reference: the non-streaming structured response for identical
-    // options (run first so the streamed run's report comes off the warm
-    // memo quickly — determinism makes the reports identical anyway).
-    let (status, plain) = daemon.post("/run/table1", "{\"quick\":true}");
-    assert_eq!(status, 200, "{plain}");
-    let plain: Value = serde_json::from_str(&plain).expect("plain response is JSON");
-
-    let (status, body) = stream_request(
-        &daemon.addr,
-        "POST",
-        "/run/table1?stream=events",
-        "{\"quick\":true}",
-    );
-    assert_eq!(status, 200, "{body}");
-    let events = parse_sse(&body);
-    assert!(events.len() >= 3, "expected start/progress/report: {body}");
-
-    // The stream opens with `start` (experiment + run attribution) and
-    // terminates with exactly one `report`.
-    let (first_event, first_data) = &events[0];
-    assert_eq!(first_event, "start", "{body}");
-    let start: Value = serde_json::from_str(first_data).expect("start data is JSON");
-    assert_eq!(str_field(&start, "experiment"), "table1");
-    let run_id = num_field(&start, "run");
-    assert!(run_id > 0, "run ids start at 1");
-    let (last_event, last_data) = events.last().unwrap();
-    assert_eq!(last_event, "report", "stream must end with the report");
-    assert_eq!(
-        events.iter().filter(|(e, _)| e == "report").count(),
-        1,
-        "exactly one terminal report"
-    );
-
-    // At least one phase event precedes the report, and every bus event
-    // in between carries a strictly increasing sequence number.
-    let phase_at = events
-        .iter()
-        .position(|(e, _)| e == "phase_enter")
-        .expect("at least one phase_enter before the report");
-    assert!(phase_at < events.len() - 1);
-    let mut last_seq = 0u64;
-    for (event, data) in &events[1..events.len() - 1] {
-        let parsed: Value = serde_json::from_str(data)
-            .unwrap_or_else(|e| panic!("unparseable {event} data: {e}: {data}"));
-        if parsed.field("seq").is_ok() {
-            let seq = num_field(&parsed, "seq");
-            assert!(seq > last_seq, "seq went backwards: {seq} after {last_seq}");
-            last_seq = seq;
-            assert_eq!(num_field(&parsed, "run"), run_id, "foreign run leaked in");
-        }
-    }
-
-    // Progress events count jobs toward a total and report elapsed time.
-    let (_, progress_data) = events
-        .iter()
-        .find(|(e, _)| e == "progress")
-        .expect("at least one progress event");
-    let progress: Value = serde_json::from_str(progress_data).expect("progress data is JSON");
-    let completed = num_field(&progress, "completed");
-    let total = num_field(&progress, "total");
-    assert!(completed <= total && total > 0, "{progress_data}");
-    assert!(progress.field("elapsed_ms").is_ok(), "{progress_data}");
-    assert!(progress.field("memo_hits").is_ok(), "{progress_data}");
-
-    // The terminal payload is the same structured body the non-streaming
-    // endpoint answers (wall clock aside).
-    let terminal: Value = serde_json::from_str(last_data).expect("report data is JSON");
-    assert_eq!(str_field(&terminal, "experiment"), "table1");
-    assert_eq!(
-        serde_json::to_string(terminal.field("report").expect("report field"))
-            .expect("re-serializes"),
-        serde_json::to_string(plain.field("report").expect("report field")).expect("re-serializes"),
-        "streamed report drifted from the non-streaming response"
-    );
-
-    // Stream validation failures answer as plain framed errors.
-    let (status, body) = daemon.post("/run/table1?stream=banana", "{\"quick\":true}");
-    assert_eq!(status, 400, "{body}");
-    assert!(body.contains("unknown stream mode"), "{body}");
-    let (status, body) = daemon.post("/run/table1?stream=events&format=text", "{\"quick\":true}");
-    assert_eq!(status, 400, "{body}");
-    let (status, body) = daemon.post("/run/nope?stream=events", "{}");
-    assert_eq!(status, 404, "{body}");
-
-    let code = daemon.sigterm_and_wait(Duration::from_secs(30));
-    assert_eq!(code, 0);
-}
-
-#[test]
-fn event_streams_clean_up_on_disconnect_and_firehose_honors_limit() {
-    let daemon = Daemon::spawn(&[]);
-
-    // Baseline: no subscribers.
-    let (_, health) = daemon.get("/healthz");
-    let health: Value = serde_json::from_str(&health).expect("healthz is JSON");
-    assert_eq!(num_field(&health, "event_subscribers"), 0);
-    assert!(health.field("queue_depth").is_ok(), "{health:?}");
-
-    // Open a run stream, read just past the response head, and hang up
-    // mid-run. The daemon must notice the dead client and drop the bus
-    // subscription instead of leaking it.
-    {
-        let mut stream = TcpStream::connect(&daemon.addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        let body = "{\"quick\":true}";
-        let raw = format!(
-            "POST /run/table2?stream=events HTTP/1.1\r\nHost: repro\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        stream.write_all(raw.as_bytes()).expect("send request");
-        let mut buf = [0u8; 256];
-        let n = stream.read(&mut buf).expect("read response head");
-        assert!(n > 0, "daemon sent nothing before the drop");
-    } // socket dropped here, mid-stream
-
-    let start = Instant::now();
-    loop {
-        let (_, health) = daemon.get("/healthz");
-        let health: Value = serde_json::from_str(&health).expect("healthz is JSON");
-        if num_field(&health, "event_subscribers") == 0 {
-            break;
-        }
-        assert!(
-            start.elapsed() < Duration::from_secs(60),
-            "subscription leaked after client disconnect: {health:?}"
-        );
-        std::thread::sleep(Duration::from_millis(100));
-    }
-
-    // Firehose: `?limit=N` closes the stream after N events. Trigger a
-    // run from a second connection so events actually flow.
-    let addr = daemon.addr.clone();
-    let trigger = std::thread::spawn(move || {
-        let mut stream = TcpStream::connect(&addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(120)))
-            .unwrap();
-        let body = "{\"quick\":true}";
-        let raw = format!(
-            "POST /run/table1 HTTP/1.1\r\nHost: repro\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        );
-        stream.write_all(raw.as_bytes()).expect("send request");
-        let mut sink = String::new();
-        let _ = stream.read_to_string(&mut sink);
-    });
-    let (status, body) = stream_request(&daemon.addr, "GET", "/events?limit=3", "");
-    assert_eq!(status, 200, "{body}");
-    let events: Vec<_> = parse_sse(&body);
-    assert_eq!(events.len(), 3, "firehose must close after limit: {body}");
-    for (_, data) in &events {
-        let parsed: Value = serde_json::from_str(data).expect("firehose data is JSON");
-        assert!(parsed.field("seq").is_ok(), "{data}");
-    }
-    trigger.join().expect("trigger run finished");
-
-    let (status, body) = stream_request(&daemon.addr, "GET", "/events?limit=zero", "");
-    assert_eq!(status, 400, "{body}");
-
-    let code = daemon.sigterm_and_wait(Duration::from_secs(30));
-    assert_eq!(code, 0);
-}
-
 #[test]
 fn daemon_serves_runs_from_a_warm_cache_and_drains_on_sigterm() {
     let dir = scratch_dir("daemon");
@@ -394,6 +160,7 @@ fn daemon_serves_runs_from_a_warm_cache_and_drains_on_sigterm() {
     let health: Value = serde_json::from_str(&health).expect("healthz is JSON");
     assert_eq!(str_field(&health, "status"), "ok");
     assert!(num_field(&health, "experiments") >= 18);
+    assert!(health.field("queue_depth").is_ok(), "{health:?}");
 
     let (status, list) = daemon.get("/experiments");
     assert_eq!(status, 200);
@@ -511,6 +278,16 @@ fn daemon_rejects_malformed_requests_without_dying() {
     let (status, body) = daemon.post("/run/table1?format=yaml", "{\"quick\":true}");
     assert_eq!(status, 400);
     assert!(body.contains("unknown format 'yaml'"), "{body}");
+    // `format` is the only query parameter; anything else is named in a
+    // 400 instead of being silently ignored.
+    for (path, param) in [
+        ("/run/table1?stream=events", "stream"),
+        ("/run/table1?typo=1", "typo"),
+    ] {
+        let (status, response) = daemon.post(path, "{\"quick\":true}");
+        assert_eq!(status, 400, "{path}: {response}");
+        assert!(response.contains(param), "{path}: {response}");
+    }
     let (status, _) = daemon.post("/cache/gc", "{}");
     assert_eq!(status, 409, "no cache dir configured");
     let (status, _) = daemon.get("/nope");

@@ -116,7 +116,10 @@ pub fn classify_sensitivity(
     let values: Vec<Vec<f64>> = (0..machines)
         .map(|m| (0..n).map(|w| metric.extract(result.at(w, m))).collect())
         .collect();
-    let rankings: Vec<Vec<f64>> = values.iter().map(|v| ranks(v)).collect();
+    let rankings = values
+        .iter()
+        .map(|v| ranks(v))
+        .collect::<Result<Vec<_>, _>>()?;
     let spreads = rank_spread(&rankings)?;
     let max_spread = (n - 1) as f64;
     // A benchmark that barely exercises the metric anywhere cannot be

@@ -297,14 +297,14 @@ impl Engine {
     ) -> CampaignResult {
         let call_start = Instant::now();
         let rec = &self.recorder;
-        let mut campaign_span = rec.phase_span("engine.campaign");
+        let mut campaign_span = rec.span("engine.campaign");
         let campaign_id = campaign_span.id();
-        // Run attribution for the live bus: workers re-enter this scope on
-        // their own threads (the id is thread-local, not inherited).
+        // Run attribution for the trace sinks: workers re-enter this scope
+        // on their own threads (the id is thread-local, not inherited).
         let run = horizon_telemetry::current_run_id();
 
         // Phase 1: expand the grid into de-duplicated jobs.
-        let expand_span = rec.phase_span("engine.expand");
+        let expand_span = rec.span("engine.expand");
         let mut job_index: HashMap<Fingerprint, usize> = HashMap::new();
         // job id -> (profile index, machine index) of its first occurrence.
         let mut jobs: Vec<(usize, usize)> = Vec::new();
@@ -334,7 +334,7 @@ impl Engine {
         // flight (another campaign leads it — we follow), or genuinely
         // unstarted (we lead it). There is no window in which two
         // campaigns can both decide to simulate the same fingerprint.
-        let probe_span = rec.phase_span("engine.probe");
+        let probe_span = rec.span("engine.probe");
         let probe_id = probe_span.id();
         let mut resolved: Vec<Option<Measurement>> = vec![None; jobs.len()];
         let mut leaders: Vec<Option<LeaderGuard<'_>>> = Vec::with_capacity(jobs.len());
@@ -463,7 +463,7 @@ impl Engine {
             .map(|&id| Mutex::new(leaders[id].take()))
             .collect();
         if !batches.is_empty() {
-            let simulate_span = rec.phase_span("engine.simulate");
+            let simulate_span = rec.span("engine.simulate");
             let cursor = AtomicUsize::new(0);
             let pool_start = Instant::now();
             std::thread::scope(|scope| {
@@ -570,7 +570,7 @@ impl Engine {
         // Memo entries were already inserted at publication time (so
         // co-waiting campaigns could read them); only this campaign's own
         // simulated jobs are stored to disk.
-        let integrate_span = rec.phase_span("engine.integrate");
+        let integrate_span = rec.span("engine.integrate");
         let mut simulation_wall_nanos = 0u64;
         for (slot, &id) in misses.iter().enumerate() {
             let (measurement, wall_nanos) = slots[slot].get().expect("all jobs ran").clone();
@@ -597,7 +597,7 @@ impl Engine {
         drop(integrate_span);
 
         // Phase 5: assemble the grid by cell index.
-        let assemble_span = rec.phase_span("engine.assemble");
+        let assemble_span = rec.span("engine.assemble");
         let workload_names = profiles.iter().map(|p| p.name().to_string()).collect();
         let machine_names = machines.iter().map(|m| m.name.clone()).collect();
         let grid = cell_jobs
@@ -725,8 +725,6 @@ impl Engine {
         cached: bool,
     ) {
         let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-        self.recorder
-            .publish_progress(done as u64, total as u64, cached);
         if let Some(callback) = &self.progress {
             callback(&ProgressEvent {
                 completed: done,

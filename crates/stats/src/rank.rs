@@ -10,26 +10,28 @@ use crate::StatsError;
 ///
 /// Returns an empty vector for empty input.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if any value is NaN (ranks would be ill-defined).
+/// [`StatsError::NonFinite`] if any value is NaN (ranks would be
+/// ill-defined). Infinities order normally.
 ///
 /// # Example
 ///
 /// ```
 /// use horizon_stats::ranks;
 ///
-/// assert_eq!(ranks(&[10.0, 30.0, 20.0]), vec![1.0, 3.0, 2.0]);
-/// assert_eq!(ranks(&[1.0, 2.0, 2.0]), vec![1.0, 2.5, 2.5]);
+/// assert_eq!(ranks(&[10.0, 30.0, 20.0])?, vec![1.0, 3.0, 2.0]);
+/// assert_eq!(ranks(&[1.0, 2.0, 2.0])?, vec![1.0, 2.5, 2.5]);
+/// assert!(ranks(&[1.0, f64::NAN]).is_err());
+/// # Ok::<(), horizon_stats::StatsError>(())
 /// ```
-pub fn ranks(values: &[f64]) -> Vec<f64> {
-    assert!(
-        values.iter().all(|v| !v.is_nan()),
-        "ranks are undefined for NaN input"
-    );
+pub fn ranks(values: &[f64]) -> Result<Vec<f64>, StatsError> {
+    if values.iter().any(|v| v.is_nan()) {
+        return Err(StatsError::NonFinite { context: "ranks" });
+    }
     let n = values.len();
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| values[a].partial_cmp(&values[b]).expect("no NaN"));
+    order.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
 
     let mut out = vec![0.0; n];
     let mut i = 0;
@@ -46,7 +48,7 @@ pub fn ranks(values: &[f64]) -> Vec<f64> {
         }
         i = j + 1;
     }
-    out
+    Ok(out)
 }
 
 /// Spearman rank correlation coefficient between two equal-length samples.
@@ -55,6 +57,7 @@ pub fn ranks(values: &[f64]) -> Vec<f64> {
 ///
 /// * [`StatsError::DimensionMismatch`] if lengths differ.
 /// * [`StatsError::Empty`] for fewer than two observations.
+/// * [`StatsError::NonFinite`] if either sample contains NaN.
 ///
 /// Returns 0 when either sample is constant (rank variance is zero).
 pub fn spearman(a: &[f64], b: &[f64]) -> Result<f64, StatsError> {
@@ -68,9 +71,7 @@ pub fn spearman(a: &[f64], b: &[f64]) -> Result<f64, StatsError> {
     if a.len() < 2 {
         return Err(StatsError::Empty);
     }
-    let ra = ranks(a);
-    let rb = ranks(b);
-    pearson(&ra, &rb)
+    pearson(&ranks(a)?, &ranks(b)?)
 }
 
 /// Pearson correlation used internally on rank vectors.
@@ -102,6 +103,7 @@ fn pearson(a: &[f64], b: &[f64]) -> Result<f64, StatsError> {
 ///
 /// * [`StatsError::Empty`] if `rankings` is empty.
 /// * [`StatsError::DimensionMismatch`] if rank vectors differ in length.
+/// * [`StatsError::NonFinite`] if any rank is NaN.
 ///
 /// # Example
 ///
@@ -124,6 +126,11 @@ pub fn rank_spread(rankings: &[Vec<f64>]) -> Result<Vec<f64>, StatsError> {
                 right: (r.len(), 1),
             });
         }
+        if r.iter().any(|v| v.is_nan()) {
+            return Err(StatsError::NonFinite {
+                context: "rank_spread",
+            });
+        }
     }
     let mut out = Vec::with_capacity(items);
     for i in 0..items {
@@ -144,24 +151,26 @@ mod tests {
 
     #[test]
     fn ranks_simple() {
-        assert_eq!(ranks(&[3.0, 1.0, 2.0]), vec![3.0, 1.0, 2.0]);
+        assert_eq!(ranks(&[3.0, 1.0, 2.0]).unwrap(), vec![3.0, 1.0, 2.0]);
     }
 
     #[test]
     fn ranks_with_ties() {
-        assert_eq!(ranks(&[5.0, 5.0, 1.0]), vec![2.5, 2.5, 1.0]);
-        assert_eq!(ranks(&[2.0, 2.0, 2.0]), vec![2.0, 2.0, 2.0]);
+        assert_eq!(ranks(&[5.0, 5.0, 1.0]).unwrap(), vec![2.5, 2.5, 1.0]);
+        assert_eq!(ranks(&[2.0, 2.0, 2.0]).unwrap(), vec![2.0, 2.0, 2.0]);
     }
 
     #[test]
     fn ranks_empty() {
-        assert!(ranks(&[]).is_empty());
+        assert!(ranks(&[]).unwrap().is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "NaN")]
     fn ranks_reject_nan() {
-        ranks(&[1.0, f64::NAN]);
+        assert_eq!(
+            ranks(&[1.0, f64::NAN]),
+            Err(StatsError::NonFinite { context: "ranks" })
+        );
     }
 
     #[test]
@@ -187,9 +196,9 @@ mod tests {
     #[test]
     fn rank_spread_identifies_stable_items() {
         let machines = vec![
-            ranks(&[0.1, 5.0, 2.0]),
-            ranks(&[0.2, 4.0, 9.0]),
-            ranks(&[0.1, 6.0, 1.0]),
+            ranks(&[0.1, 5.0, 2.0]).unwrap(),
+            ranks(&[0.2, 4.0, 9.0]).unwrap(),
+            ranks(&[0.1, 6.0, 1.0]).unwrap(),
         ];
         let spread = rank_spread(&machines).unwrap();
         // Item 0 is always the smallest → rank 1 everywhere → spread 0.

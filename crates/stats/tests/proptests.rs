@@ -1,10 +1,14 @@
 //! Property-based tests for the statistical core.
 
 use horizon_stats::{
-    correlation_matrix, euclidean, geometric_mean, jacobi_eigen, manhattan, mean, ranks,
-    standardize, DistanceMatrix, Matrix, Metric, Pca, Retention,
+    correlation_matrix, euclidean, geometric_mean, jacobi_eigen, manhattan, mean, rank_spread,
+    ranks, spearman, standardize, DistanceMatrix, Matrix, Metric, Pca, Retention, StatsError,
 };
 use proptest::prelude::*;
+
+fn is_non_finite<T>(result: &Result<T, StatsError>) -> bool {
+    matches!(result, Err(StatsError::NonFinite { .. }))
+}
 
 /// Strategy: a well-formed observation matrix with bounded values.
 fn obs_matrix(max_rows: usize, max_cols: usize) -> impl Strategy<Value = Matrix> {
@@ -104,10 +108,25 @@ proptest! {
     #[test]
     fn ranks_are_a_permutation_sum(values in proptest::collection::vec(-1e6..1e6f64, 1..20)) {
         // Sum of ranks (with average ties) is always n(n+1)/2.
-        let r = ranks(&values);
+        let r = ranks(&values).unwrap();
         let n = values.len() as f64;
         let sum: f64 = r.iter().sum();
         prop_assert!((sum - n * (n + 1.0) / 2.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn nan_input_is_an_error_never_a_panic(
+        values in proptest::collection::vec(-1e6..1e6f64, 1..20),
+        at in any::<usize>(),
+    ) {
+        // One NaN anywhere in otherwise ordinary data.
+        let mut with_nan = values.clone();
+        with_nan.insert(at % (values.len() + 1), f64::NAN);
+        prop_assert!(is_non_finite(&ranks(&with_nan)));
+        let clean = vec![0.0; with_nan.len()];
+        prop_assert!(is_non_finite(&spearman(&with_nan, &clean)));
+        prop_assert!(is_non_finite(&spearman(&clean, &with_nan)));
+        prop_assert!(is_non_finite(&rank_spread(&[clean, with_nan])));
     }
 
     #[test]

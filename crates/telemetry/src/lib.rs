@@ -31,15 +31,9 @@
 //! 4. [`write_otlp`] — an OTLP/JSON-shaped span export for
 //!    `repro --otlp-out`, loadable by Jaeger/Tempo-style tooling.
 //!
-//! And one reads it *live*: every recorder owns an [`EventBus`]
-//! ([`Recorder::bus`]) publishing schema-versioned [`TelemetryEvent`]s
-//! for span start/end, counter deltas, phase transitions
-//! ([`Recorder::phase_span`]) and job progress while a run executes —
-//! the feed behind `repro --progress` and the `repro serve` SSE stream.
-//! Publishing costs one atomic load when nobody subscribes, and a slow
-//! subscriber only ever loses its own oldest events (bounded ring,
-//! drop-oldest), never blocks the hot path. Concurrent runs are told
-//! apart by a run id label ([`RunScope`], [`next_run_id`]).
+//! Concurrent runs sharing one recorder (the `repro serve` daemon) are
+//! told apart by a run id label on every span ([`RunScope`],
+//! [`next_run_id`]); the JSONL and OTLP sinks carry it through.
 //!
 //! # Global recorder
 //!
@@ -72,7 +66,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bus;
 mod histogram;
 mod jsonl;
 mod otlp;
@@ -80,15 +73,11 @@ mod prometheus;
 mod recorder;
 mod snapshot;
 
-pub use bus::{
-    current_run_id, next_run_id, EventBus, EventKind, RunScope, Subscription, TelemetryEvent,
-    DEFAULT_SUBSCRIBER_CAPACITY, EVENT_SCHEMA,
-};
 pub use histogram::Histogram;
 pub use jsonl::{write_trace, write_trace_with_meta, TRACE_SCHEMA};
 pub use otlp::write_otlp;
 pub use prometheus::write_prometheus;
-pub use recorder::{FieldValue, Recorder, Span, EVENTS_DROPPED_COUNTER};
+pub use recorder::{current_run_id, next_run_id, FieldValue, Recorder, RunScope, Span};
 pub use snapshot::{PhaseStat, SpanRecord, TelemetrySnapshot};
 
 use std::sync::{Arc, RwLock};
@@ -116,16 +105,6 @@ pub fn installed() -> Option<Arc<Recorder>> {
 pub fn span(name: &'static str) -> Span {
     match installed() {
         Some(r) => r.span(name),
-        None => Span::noop(),
-    }
-}
-
-/// Opens a *phase* span on the installed recorder — like [`span`], but
-/// also publishing `phase_enter`/`phase_exit` events on the live bus (see
-/// [`Recorder::phase_span`]).
-pub fn phase_span(name: &'static str) -> Span {
-    match installed() {
-        Some(r) => r.phase_span(name),
         None => Span::noop(),
     }
 }

@@ -1,20 +1,13 @@
 //! The thread-safe recorder and its span guards.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use crate::bus::{current_run_id, EventBus, EventKind};
 use crate::histogram::Histogram;
 use crate::snapshot::{SpanRecord, TelemetrySnapshot};
-
-/// Counter name under which bus ring-overflow drops surface in snapshots,
-/// [`Recorder::counter_value`] and `/metrics`. It is synthesized from the
-/// bus's own atomic — publishing it through `counter_add` would recurse
-/// (the add would itself emit a bus event).
-pub const EVENTS_DROPPED_COUNTER: &str = "telemetry.events_dropped";
 
 /// A structured field value attached to a span.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,16 +103,53 @@ pub struct Recorder {
     epoch_unix_nanos: u64,
     next_id: AtomicU64,
     state: Mutex<State>,
-    bus: EventBus,
 }
 
 static NEXT_TAG: AtomicU64 = AtomicU64::new(1);
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
+static NEXT_RUN: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
     /// Stack of `(recorder tag, span id)` for implicit parenting.
     static SPAN_STACK: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
     static THREAD_ID: RefCell<Option<u64>> = const { RefCell::new(None) };
+    static CURRENT_RUN: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocates a fresh process-unique run id (never 0).
+pub fn next_run_id() -> u64 {
+    NEXT_RUN.fetch_add(1, Ordering::Relaxed)
+}
+
+/// The run id installed on this thread by the innermost live
+/// [`RunScope`], or 0 outside any scope.
+pub fn current_run_id() -> u64 {
+    CURRENT_RUN.with(Cell::get)
+}
+
+/// Thread-local run attribution guard: while alive, spans opened on this
+/// thread carry the given run id, so concurrent runs interleaved on one
+/// recorder stay attributable in the trace sinks. Scopes nest; dropping
+/// restores the previous id. Work handed to another thread must re-enter
+/// the scope there.
+#[derive(Debug)]
+pub struct RunScope {
+    prev: u64,
+}
+
+impl RunScope {
+    /// Installs `run` as this thread's current run id until the guard
+    /// drops.
+    pub fn enter(run: u64) -> RunScope {
+        let prev = CURRENT_RUN.with(|cell| cell.replace(run));
+        RunScope { prev }
+    }
+}
+
+impl Drop for RunScope {
+    fn drop(&mut self) {
+        CURRENT_RUN.with(|cell| cell.set(self.prev));
+    }
 }
 
 fn current_thread_id() -> u64 {
@@ -149,7 +179,6 @@ impl Recorder {
                 .unwrap_or(0),
             next_id: AtomicU64::new(1),
             state: Mutex::new(State::default()),
-            bus: EventBus::new(),
         }
     }
 
@@ -178,18 +207,6 @@ impl Recorder {
     /// the innermost open span *of this recorder* on the current thread
     /// (override with [`Span::set_parent`] for cross-thread work).
     pub fn span(self: &Arc<Self>, name: &'static str) -> Span {
-        self.open_span(name, false)
-    }
-
-    /// Opens a *phase* span: identical to [`Recorder::span`], but its open
-    /// and close additionally publish `phase_enter`/`phase_exit` events on
-    /// the live bus, so streaming consumers see pipeline transitions
-    /// without wading through every leaf span.
-    pub fn phase_span(self: &Arc<Self>, name: &'static str) -> Span {
-        self.open_span(name, true)
-    }
-
-    fn open_span(self: &Arc<Self>, name: &'static str, phase: bool) -> Span {
         if !self.enabled {
             return Span::noop();
         }
@@ -204,73 +221,27 @@ impl Recorder {
             stack.push((self.tag, id));
             parent
         });
-        let run = current_run_id();
-        let start_nanos = self.epoch.elapsed().as_nanos() as u64;
-        if self.bus.has_subscribers() {
-            self.bus
-                .publish(run, start_nanos, EventKind::SpanStart { id, parent, name });
-            if phase {
-                self.bus
-                    .publish(run, start_nanos, EventKind::PhaseEnter { name });
-            }
-        }
         Span {
             inner: Some(ActiveSpan {
                 recorder: Arc::clone(self),
                 id,
                 parent,
                 name,
-                run,
-                phase,
+                run: current_run_id(),
                 start: Instant::now(),
-                start_nanos,
+                start_nanos: self.epoch.elapsed().as_nanos() as u64,
                 fields: Vec::new(),
             }),
         }
     }
 
-    /// The live event bus this recorder publishes into. Subscribe to watch
-    /// spans, counters, phases and progress as they happen.
-    pub fn bus(&self) -> &EventBus {
-        &self.bus
-    }
-
-    /// Publishes one job-progress event on the bus (no-op when disabled or
-    /// unobserved — costs one atomic load on the engine's per-job path).
-    pub fn publish_progress(&self, completed: u64, total: u64, cached: bool) {
-        if !self.enabled || !self.bus.has_subscribers() {
-            return;
-        }
-        self.bus.publish(
-            current_run_id(),
-            self.epoch.elapsed().as_nanos() as u64,
-            EventKind::Progress {
-                completed,
-                total,
-                cached,
-            },
-        );
-    }
-
-    /// Adds `delta` to a named counter. With a bus subscriber attached, a
-    /// `counter` event carrying the delta and post-add total is published
-    /// (outside the state lock).
+    /// Adds `delta` to a named counter.
     pub fn counter_add(&self, name: &'static str, delta: u64) {
         if !self.enabled {
             return;
         }
         let mut state = self.state.lock().expect("telemetry state");
-        let slot = state.counters.entry(name).or_insert(0);
-        *slot += delta;
-        let total = *slot;
-        drop(state);
-        if self.bus.has_subscribers() {
-            self.bus.publish(
-                current_run_id(),
-                self.epoch.elapsed().as_nanos() as u64,
-                EventKind::CounterDelta { name, delta, total },
-            );
-        }
+        *state.counters.entry(name).or_insert(0) += delta;
     }
 
     /// Adds `delta` (possibly negative) to a named gauge. Unlike counters,
@@ -339,9 +310,6 @@ impl Recorder {
     /// paying for a full [`Recorder::snapshot`] clone — cheap enough to
     /// call per request on a serving path.
     pub fn counter_value(&self, name: &str) -> u64 {
-        if name == EVENTS_DROPPED_COUNTER {
-            return self.bus.dropped();
-        }
         self.state
             .lock()
             .expect("telemetry state")
@@ -351,19 +319,13 @@ impl Recorder {
             .unwrap_or(0)
     }
 
-    /// A consistent copy of everything recorded so far. Bus ring-overflow
-    /// drops, if any, appear as the [`EVENTS_DROPPED_COUNTER`] counter.
+    /// A consistent copy of everything recorded so far.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let state = self.state.lock().expect("telemetry state");
-        let mut counters = state.counters.clone();
-        let events_dropped = self.bus.dropped();
-        if events_dropped > 0 {
-            counters.insert(EVENTS_DROPPED_COUNTER, events_dropped);
-        }
         TelemetrySnapshot {
             spans: state.spans.clone(),
             dropped_spans: state.dropped_spans,
-            counters,
+            counters: state.counters.clone(),
             gauges: state.gauges.clone(),
             histograms: state.histograms.clone(),
             span_wall: state.span_wall.clone(),
@@ -372,11 +334,9 @@ impl Recorder {
         }
     }
 
-    /// Clears all recorded data (spans, counters, histograms, and the
-    /// events-dropped tally; live bus subscriptions stay attached).
+    /// Clears all recorded data (spans, counters, gauges, histograms).
     pub fn reset(&self) {
         *self.state.lock().expect("telemetry state") = State::default();
-        self.bus.reset_dropped();
     }
 
     /// Renders the live state in Prometheus text exposition format — a
@@ -422,28 +382,6 @@ impl Recorder {
                 state.dropped_spans += 1;
             }
         }
-        if self.bus.has_subscribers() {
-            let at_nanos = self.epoch.elapsed().as_nanos() as u64;
-            self.bus.publish(
-                span.run,
-                at_nanos,
-                EventKind::SpanEnd {
-                    id: span.id,
-                    name: span.name,
-                    duration_nanos,
-                },
-            );
-            if span.phase {
-                self.bus.publish(
-                    span.run,
-                    at_nanos,
-                    EventKind::PhaseExit {
-                        name: span.name,
-                        duration_nanos,
-                    },
-                );
-            }
-        }
     }
 }
 
@@ -455,8 +393,6 @@ struct ActiveSpan {
     name: &'static str,
     /// Run label captured at open ([`current_run_id`]).
     run: u64,
-    /// Phase spans publish `phase_enter`/`phase_exit` bus events.
-    phase: bool,
     start: Instant,
     start_nanos: u64,
     fields: Vec<(&'static str, FieldValue)>,
@@ -635,88 +571,25 @@ mod tests {
     }
 
     #[test]
-    fn bus_sees_span_counter_and_phase_events_with_run_labels() {
-        use crate::bus::{EventKind, RunScope};
-        let r = Arc::new(Recorder::new());
-        let sub = r.bus().subscribe(64);
-        let _scope = RunScope::enter(41);
+    fn run_scopes_nest_and_restore() {
+        assert_eq!(current_run_id(), 0);
+        let outer = RunScope::enter(5);
+        assert_eq!(current_run_id(), 5);
         {
-            let _phase = r.phase_span("engine.simulate");
-            r.counter_add("engine.memo_hits", 2);
-            r.counter_add("engine.memo_hits", 3);
-            r.publish_progress(1, 8, true);
+            let _inner = RunScope::enter(6);
+            assert_eq!(current_run_id(), 6);
         }
-        let events: Vec<_> = std::iter::from_fn(|| sub.try_recv()).collect();
-        let labels: Vec<&str> = events.iter().map(|e| e.kind.label()).collect();
-        assert_eq!(
-            labels,
-            vec![
-                "span_start",
-                "phase_enter",
-                "counter",
-                "counter",
-                "progress",
-                "span_end",
-                "phase_exit"
-            ]
-        );
-        assert!(
-            events.iter().all(|e| e.run == 41),
-            "run label on all events"
-        );
-        let mut last = 0;
-        for e in &events {
-            assert!(e.seq > last, "monotonic seq");
-            last = e.seq;
-        }
-        match &events[3].kind {
-            EventKind::CounterDelta { name, delta, total } => {
-                assert_eq!(*name, "engine.memo_hits");
-                assert_eq!(*delta, 3);
-                assert_eq!(*total, 5, "second delta carries the running total");
-            }
-            other => panic!("expected counter event, got {other:?}"),
-        }
-        // The span record itself is stamped with the run too.
-        let snap = r.snapshot();
-        assert_eq!(snap.spans_named("engine.simulate")[0].run, 41);
+        assert_eq!(current_run_id(), 5);
+        drop(outer);
+        assert_eq!(current_run_id(), 0);
     }
 
     #[test]
-    fn unobserved_recorder_publishes_nothing_and_disabled_stays_dark() {
-        let r = Arc::new(Recorder::new());
-        {
-            let _s = r.phase_span("p");
-            r.counter_add("c", 1);
-            r.publish_progress(1, 2, false);
-        }
-        // Subscribe only now: nothing from before may appear.
-        let sub = r.bus().subscribe(8);
-        assert!(sub.try_recv().is_none());
-
-        let dark = Arc::new(Recorder::disabled());
-        let dark_sub = dark.bus().subscribe(8);
-        {
-            let _s = dark.phase_span("p");
-            dark.counter_add("c", 1);
-            dark.publish_progress(1, 2, false);
-        }
-        assert!(dark_sub.try_recv().is_none(), "disabled recorder runs dark");
-    }
-
-    #[test]
-    fn ring_overflow_surfaces_as_events_dropped_counter() {
-        let r = Arc::new(Recorder::new());
-        let sub = r.bus().subscribe(2);
-        for _ in 0..10 {
-            r.counter_add("c", 1);
-        }
-        assert_eq!(sub.dropped(), 8);
-        assert_eq!(r.counter_value(EVENTS_DROPPED_COUNTER), 8);
-        assert_eq!(r.snapshot().counter(EVENTS_DROPPED_COUNTER), 8);
-        r.reset();
-        assert_eq!(r.counter_value(EVENTS_DROPPED_COUNTER), 0);
-        assert_eq!(r.snapshot().counter(EVENTS_DROPPED_COUNTER), 0);
+    fn run_ids_are_unique_and_nonzero() {
+        let a = next_run_id();
+        let b = next_run_id();
+        assert_ne!(a, 0);
+        assert_ne!(a, b);
     }
 
     #[test]

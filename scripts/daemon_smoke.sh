@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the `repro serve` daemon: health, keep-alive,
 # memoization across requests, trace-store write/replay, cache GC,
-# request coalescing, text/SSE response formats, the event firehose,
-# phase-sampled runs (simpoint.* metrics), and graceful drain.
+# request coalescing, JSON/text response formats, rejection of the
+# retired streaming routes, phase-sampled runs (simpoint.* metrics), and
+# graceful drain.
 #
 # Usage: scripts/daemon_smoke.sh [REPRO_BINARY] [ADDR]
 #   REPRO_BINARY  path to the repro binary (default target/release/repro)
@@ -96,31 +97,13 @@ curl -fsS -X POST -d '{"quick":true}' "${BASE}/run/table1?format=text" > served.
 "${REPRO}" table1 --quick > batch.txt
 cmp served.txt batch.txt
 
-# Streamed run: SSE events with at least one phase event before the
-# terminal report, which carries the structured body.
-curl -fsSN -X POST -d '{"quick":true}' "${BASE}/run/table1?stream=events" > stream.txt
-grep -q '^event: start' stream.txt
-grep -q '^event: phase_enter' stream.txt
-first_phase=$(grep -n '^event: phase_enter' stream.txt | head -1 | cut -d: -f1)
-report_line=$(grep -n '^event: report' stream.txt | cut -d: -f1)
-echo "first phase event at line ${first_phase}, report at line ${report_line}"
-test "${first_phase}" -lt "${report_line}"
-awk '/^event: /{last=$2} END{exit last != "report"}' stream.txt
-grep -A1 '^event: report' stream.txt | grep -q '"schema_version":1'
-
-# Firehose closes after the requested number of events. Wait for the
-# subscription to register before triggering the run — a memoized run
-# completes in microseconds, faster than curl can connect.
-curl -fsSN "${BASE}/events?limit=2" > firehose.txt &
-FIREHOSE_PID=$!
-for _ in $(seq 1 50); do
-  subs=$(curl -fsS "${BASE}/healthz" | grep -o '"event_subscribers":[0-9]*' | cut -d: -f2)
-  if test "${subs:-0}" -ge 1; then break; fi
-  sleep 0.1
-done
-curl -fsS -X POST -d '{"quick":true}' "${BASE}/run/table1" > /dev/null
-wait "${FIREHOSE_PID}"
-test "$(grep -c '^event: ' firehose.txt)" -eq 2
+# No live event routes: `/events` is 404, and `stream` is an unknown
+# query parameter on runs (400), never a silently ignored one.
+code=$(curl -sS -o /dev/null -w '%{http_code}' "${BASE}/events")
+test "${code}" -eq 404
+code=$(curl -sS -o /dev/null -w '%{http_code}' -X POST \
+  -d '{"quick":true}' "${BASE}/run/table1?stream=events")
+test "${code}" -eq 400
 
 kill -TERM "${SERVE_PID}"
 # Watchdog: SIGKILL if the daemon fails to drain within 30s, which
