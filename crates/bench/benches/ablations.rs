@@ -45,6 +45,9 @@ fn ablation_linkage(c: &mut Criterion) {
 }
 
 /// DESIGN.md §5.4: Kaiser criterion vs variance-coverage vs all components.
+/// After the first iteration of each rule the PCA fit is a memo hit
+/// (DESIGN.md §17), so this times distances and clustering over each
+/// rule's retained components, not the eigendecomposition.
 fn ablation_retention(c: &mut Criterion) {
     let (names, x) = campaign_features();
     let mut group = c.benchmark_group("ablation/retention");

@@ -3,6 +3,13 @@
 //! minimal windows), so `cargo bench` demonstrates every reproduction end
 //! to end with measured cost. Run `repro <experiment>` for full-scale
 //! reports.
+//!
+//! Every similarity analysis fits its PCA through a process-wide memo
+//! (DESIGN.md §17), so only the first iteration of a target pays for its
+//! eigendecompositions; later iterations time the warm, memo-hit path, as
+//! a warm `repro serve` request does. `stats/pca_43x140_kaiser` in
+//! `benches/pipeline.rs` calls `Pca::fit` directly and remains the cold
+//! eigen timing.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use horizon_bench::{

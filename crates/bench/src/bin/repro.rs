@@ -41,7 +41,7 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use horizon_bench::serve::{ServeOptions, Server};
+use horizon_bench::serve::{self, ServeOptions, Server};
 use horizon_bench::{find_experiment, run_experiment, ReproConfig, REGISTRY};
 use horizon_core::campaign::SamplingPolicy;
 use horizon_engine::{DiskCache, Engine, EngineStats, TraceStore};
@@ -375,8 +375,17 @@ fn main() -> ExitCode {
     // One recorder serves the whole process: installed globally (so the
     // simulator and analysis stages record into it) and shared with the
     // engine (so campaign/job spans and the derived stats join the same
-    // trace).
-    let recorder = Arc::new(Recorder::new());
+    // trace). The daemon keeps no span records unless a trace sink asks
+    // for them (see `serve::daemon_recorder`).
+    let recorder = if opts.target.as_deref() == Some("serve")
+        && opts.trace_out.is_none()
+        && opts.otlp_out.is_none()
+    {
+        serve::daemon_recorder()
+    } else {
+        Recorder::new()
+    };
+    let recorder = Arc::new(recorder);
     horizon_telemetry::install(Arc::clone(&recorder));
 
     let mut engine = Engine::new().with_recorder(Arc::clone(&recorder));

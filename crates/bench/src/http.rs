@@ -385,24 +385,33 @@ impl Response {
     /// `Connection` header: `keep-alive` promises the server will read
     /// another request afterwards, `close` that it will hang up.
     ///
+    /// The status line, headers and body are rendered into one buffer and
+    /// handed to `out` in a single `write_all`: a head written in pieces
+    /// onto a socket leaves a small segment in flight, and Nagle's
+    /// algorithm then holds the body until the peer's delayed ACK.
+    ///
     /// # Errors
     ///
     /// Propagates I/O errors from `out` (typically a hung-up client).
     pub fn write_to(&self, out: &mut impl Write, keep_alive: bool) -> io::Result<()> {
-        write!(
-            out,
+        let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             status_text(self.status),
             self.content_type,
             self.body.len(),
             if keep_alive { "keep-alive" } else { "close" }
-        )?;
+        );
         for (name, value) in &self.extra_headers {
-            write!(out, "{name}: {value}\r\n")?;
+            head.push_str(name);
+            head.push_str(": ");
+            head.push_str(value);
+            head.push_str("\r\n");
         }
-        out.write_all(b"\r\n")?;
-        out.write_all(&self.body)?;
+        head.push_str("\r\n");
+        let mut wire = head.into_bytes();
+        wire.extend_from_slice(&self.body);
+        out.write_all(&wire)?;
         out.flush()
     }
 }
@@ -565,6 +574,39 @@ mod tests {
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.contains("Retry-After: 1\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
+    }
+
+    /// A sink that counts `write` calls and accepts every byte at once.
+    #[derive(Default)]
+    struct CountingSink {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn response_is_written_in_one_write() {
+        let response = Response::json(200, "{\"ok\":true}".to_string())
+            .with_header("Retry-After", "1")
+            .with_header("Allow", "GET");
+        let mut sink = CountingSink::default();
+        response.write_to(&mut sink, true).unwrap();
+        assert_eq!(sink.writes, 1, "head and body must leave in one write");
+        let text = String::from_utf8(sink.bytes).unwrap();
+        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
+        assert!(text.contains("Allow: GET\r\n"), "{text}");
+        assert!(text.ends_with("\r\n\r\n{\"ok\":true}"), "{text}");
     }
 
     #[test]

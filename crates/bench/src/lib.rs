@@ -8,7 +8,8 @@
 //! warm engine across requests.
 
 // `deny` rather than `forbid`: the daemon's signal handling
-// (`serve::signal`) carries the crate's one audited `unsafe` block.
+// (`serve::signal`) and listener wait (`serve::readiness`) carry the
+// crate's two audited `unsafe` blocks.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -183,6 +183,75 @@ mod signal {
     }
 }
 
+/// Listener readiness: the accept loop blocks in `poll(2)` until a
+/// connection is pending, so a new connection is accepted at once, while
+/// the timeout still lets the loop observe the shutdown flags.
+#[cfg(unix)]
+mod readiness {
+    #![allow(unsafe_code)]
+
+    use std::net::TcpListener;
+    use std::os::unix::io::AsRawFd;
+    use std::time::Duration;
+
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+
+    const POLLIN: i16 = 0x1;
+
+    #[cfg(target_os = "linux")]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type Nfds = std::ffi::c_uint;
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: i32) -> i32;
+    }
+
+    /// Waits up to `timeout` for `listener` to have a connection to
+    /// accept. False on timeout, on a signal (`EINTR`) and on error; the
+    /// caller re-checks its shutdown flags and tries again.
+    pub fn wait(listener: &TcpListener, timeout: Duration) -> bool {
+        let mut fd = PollFd {
+            fd: listener.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        };
+        let millis = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+        // SAFETY: `fd` is one live, exclusively borrowed `pollfd` for the
+        // duration of the call, and `nfds` is 1; `poll` writes only its
+        // `revents` field.
+        let ready = unsafe { poll(&mut fd, 1, millis) };
+        ready > 0 && fd.revents & POLLIN != 0
+    }
+}
+
+#[cfg(not(unix))]
+mod readiness {
+    use std::net::TcpListener;
+    use std::time::Duration;
+
+    /// Non-unix builds have no `poll(2)` binding: nap, then try to accept.
+    pub fn wait(_listener: &TcpListener, timeout: Duration) -> bool {
+        std::thread::sleep(timeout);
+        true
+    }
+}
+
+/// The recorder `repro serve` runs with: counters, gauges, histograms
+/// and `/metrics` as usual, but no span records. Nothing reads a span
+/// record back from a daemon that writes no trace, and keeping one per
+/// request grows the process for as long as it serves; per-name span
+/// wall histograms and the `horizon_dropped_spans` count still see every
+/// span.
+pub fn daemon_recorder() -> Recorder {
+    Recorder::new().with_span_capacity(0)
+}
+
 /// State shared between the accept loop, connection workers and the run
 /// scheduler.
 struct ServerState {
@@ -280,19 +349,29 @@ impl Server {
     /// per-connection errors are answered with 4xx/5xx responses instead.
     pub fn run(self) -> std::io::Result<()> {
         signal::install();
+        // Bounds how long a shutdown request waits to be noticed.
         let poll = Duration::from_millis(25);
         while !(self.shutdown.load(Ordering::SeqCst) || signal::requested()) {
+            if !readiness::wait(&self.listener, poll) {
+                continue;
+            }
             match self.listener.accept() {
-                Ok((stream, _peer)) => self.dispatch(stream),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(poll),
+                Ok((stream, _peer)) => {
+                    // Responses leave in one write; never hold it back
+                    // waiting for an ACK.
+                    let _ = stream.set_nodelay(true);
+                    self.dispatch(stream);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
                 // Transient accept failures (e.g. EMFILE, aborted
                 // handshakes) must not kill the daemon.
                 Err(_) => std::thread::sleep(poll),
             }
         }
-        drop(self.listener); // stop accepting before draining
-                             // Connection pool first: its workers may be waiting on run slots,
-                             // and the run workers (still alive here) are what answer them.
+        // Stop accepting, then drain. Connection pool first: its workers
+        // may be waiting on run slots, and the run workers (still alive
+        // here) are what answer them.
+        drop(self.listener);
         self.pool.shutdown();
         self.state.sched.shutdown(self.state.opts.drain_timeout);
         Ok(())

@@ -2,8 +2,13 @@
 //! extract principal components with the Kaiser criterion, measure
 //! Euclidean distances in PC space, and cluster hierarchically.
 
+use std::collections::hash_map::DefaultHasher;
+use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
+use std::sync::Mutex;
+
 use horizon_cluster::{cluster, render_ascii, Dendrogram, Linkage, RenderOptions};
-use horizon_stats::{DistanceMatrix, Matrix, Metric as DistanceMetric, Pca, Retention};
+use horizon_stats::{DistanceMatrix, Matrix, Metric as DistanceMetric, Pca, Retention, StatsError};
 
 use crate::campaign::CampaignResult;
 use crate::metrics::{feature_matrix, Metric};
@@ -79,7 +84,16 @@ impl SimilarityAnalysis {
                 reason: format!("{} names for {} feature rows", names.len(), features.rows()),
             });
         }
-        let pca = Pca::fit(features, retention)?;
+        let (pca, hit) = PCA_MEMO.fit(features, retention)?;
+        horizon_telemetry::counter_add(
+            if hit {
+                "core.pca_memo_hits"
+            } else {
+                "core.pca_memo_misses"
+            },
+            1,
+        );
+        span.record("pca_memo", if hit { "hit" } else { "miss" });
         let distances = DistanceMatrix::from_observations(pca.scores(), DistanceMetric::Euclidean);
         let tree = cluster(&distances, linkage)?;
         let feature_labels = (0..features.cols()).map(|i| format!("f{i}")).collect();
@@ -223,6 +237,115 @@ impl SimilarityAnalysis {
     }
 }
 
+/// Fits held by the process-wide PCA memo. One paper-scale entry (a
+/// 43 × 140 input plus its fit) is about 60 KB, so the memo stays near
+/// 2 MB; a full `repro all` makes about 20 distinct fits, so every
+/// repeat within a run or across `repro serve` requests finds its entry.
+const PCA_MEMO_CAPACITY: usize = 32;
+
+/// The memo behind every [`SimilarityAnalysis`]: the experiments fit the
+/// same feature matrix many times over (within one `repro all`, and on
+/// every warm `repro serve` request), and a 140-dimensional Jacobi
+/// eigendecomposition costs tens of milliseconds each time.
+static PCA_MEMO: PcaMemo = PcaMemo::new(PCA_MEMO_CAPACITY);
+
+/// One memoized fit, keyed by its exact input.
+struct PcaMemoEntry {
+    hash: u64,
+    input: Matrix,
+    retention: (u8, u64),
+    pca: Pca,
+}
+
+/// A bounded, least-recently-used memo of [`Pca::fit`]. An entry matches
+/// only an input identical to the bit — same shape, every `f64` bit
+/// pattern, and the same [`Retention`] with its `f64` compared by bits —
+/// so a hit returns exactly what a fresh fit would. Failed fits are never
+/// stored.
+struct PcaMemo {
+    capacity: usize,
+    /// Least recently used first.
+    entries: Mutex<VecDeque<PcaMemoEntry>>,
+}
+
+impl PcaMemo {
+    const fn new(capacity: usize) -> Self {
+        PcaMemo {
+            capacity,
+            entries: Mutex::new(VecDeque::new()),
+        }
+    }
+
+    /// `Pca::fit(x, retention)`, from the memo when it holds this exact
+    /// input. The flag is true for a hit. The lock is not held while
+    /// fitting, so concurrent analyses never wait on each other's
+    /// eigendecompositions.
+    fn fit(&self, x: &Matrix, retention: Retention) -> Result<(Pca, bool), StatsError> {
+        let bits = retention_bits(retention);
+        let hash = input_hash(x, bits);
+        let matches =
+            |e: &PcaMemoEntry| e.hash == hash && e.retention == bits && same_bits(&e.input, x);
+        {
+            let mut entries = self.entries.lock().expect("pca memo");
+            if let Some(pos) = entries.iter().position(matches) {
+                let entry = entries.remove(pos).expect("position is in range");
+                let pca = entry.pca.clone();
+                entries.push_back(entry);
+                return Ok((pca, true));
+            }
+        }
+        let pca = Pca::fit(x, retention)?;
+        let mut entries = self.entries.lock().expect("pca memo");
+        // A concurrent miss on the same input may have stored it already.
+        if !entries.iter().any(matches) {
+            if entries.len() == self.capacity {
+                entries.pop_front();
+            }
+            entries.push_back(PcaMemoEntry {
+                hash,
+                input: x.clone(),
+                retention: bits,
+                pca: pca.clone(),
+            });
+        }
+        Ok((pca, false))
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.entries.lock().expect("pca memo").len()
+    }
+}
+
+/// `Retention` as plain bits, so a coverage fraction compares by its bit
+/// pattern: the variant and its parameter.
+fn retention_bits(retention: Retention) -> (u8, u64) {
+    match retention {
+        Retention::Kaiser => (0, 0),
+        Retention::VarianceCoverage(frac) => (1, frac.to_bits()),
+        Retention::Fixed(k) => (2, k as u64),
+        Retention::All => (3, 0),
+    }
+}
+
+fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+    a.rows() == b.rows()
+        && a.cols() == b.cols()
+        && a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+fn input_hash(x: &Matrix, retention: (u8, u64)) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    (x.rows(), x.cols(), retention).hash(&mut hasher);
+    for v in x.as_slice() {
+        v.to_bits().hash(&mut hasher);
+    }
+    hasher.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,6 +420,105 @@ mod tests {
         // Descending by |loading|.
         assert!(top[0].1.abs() >= top[1].1.abs());
         assert!(a.dominant_features(99, 3).is_err());
+    }
+
+    fn features(seed: u64) -> Matrix {
+        let mut state = seed;
+        let data = (0..12 * 6)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 11) as f64 / (1u64 << 53) as f64
+            })
+            .collect();
+        Matrix::from_vec(12, 6, data).unwrap()
+    }
+
+    #[test]
+    fn pca_memo_hits_exactly_the_same_input() {
+        let memo = PcaMemo::new(4);
+        let x = features(1);
+        let (first, hit) = memo.fit(&x, Retention::Kaiser).unwrap();
+        assert!(!hit);
+        let (again, hit) = memo.fit(&x, Retention::Kaiser).unwrap();
+        assert!(hit);
+        let fresh = Pca::fit(&x, Retention::Kaiser).unwrap();
+        assert_eq!(again, fresh);
+        assert_eq!(first, fresh);
+
+        // One ulp in one feature is a different input.
+        let mut data = x.as_slice().to_vec();
+        data[17] = f64::from_bits(data[17].to_bits() + 1);
+        let nudged = Matrix::from_vec(x.rows(), x.cols(), data).unwrap();
+        let (fit, hit) = memo.fit(&nudged, Retention::Kaiser).unwrap();
+        assert!(!hit, "a one-ulp change must miss");
+        assert_eq!(fit, Pca::fit(&nudged, Retention::Kaiser).unwrap());
+
+        // So is another retention rule, or another coverage fraction.
+        for retention in [
+            Retention::All,
+            Retention::Fixed(2),
+            Retention::VarianceCoverage(0.9),
+        ] {
+            assert!(!memo.fit(&x, retention).unwrap().1, "{retention:?}");
+        }
+        let next_up = f64::from_bits(0.9f64.to_bits() + 1);
+        assert!(
+            !memo
+                .fit(&x, Retention::VarianceCoverage(next_up))
+                .unwrap()
+                .1
+        );
+        assert_eq!(memo.len(), 4, "the memo never outgrows its capacity");
+    }
+
+    #[test]
+    fn pca_memo_compares_the_full_input_on_a_hash_match() {
+        let memo = PcaMemo::new(4);
+        let (x, y) = (features(1), features(2));
+        let kaiser = retention_bits(Retention::Kaiser);
+        let forged = |input: &Matrix, retention: Retention| PcaMemoEntry {
+            hash: input_hash(&x, kaiser),
+            input: input.clone(),
+            retention: retention_bits(retention),
+            pca: Pca::fit(input, retention).unwrap(),
+        };
+        // Colliding entries: another input, and the same input under
+        // another retention rule, both stored under `x`'s Kaiser hash.
+        memo.entries
+            .lock()
+            .unwrap()
+            .extend([forged(&y, Retention::Kaiser), forged(&x, Retention::All)]);
+        let (fit, hit) = memo.fit(&x, Retention::Kaiser).unwrap();
+        assert!(!hit, "a hash match alone is not a hit");
+        assert_eq!(fit, Pca::fit(&x, Retention::Kaiser).unwrap());
+    }
+
+    #[test]
+    fn pca_memo_is_bounded_and_evicts_least_recently_used() {
+        let memo = PcaMemo::new(3);
+        let inputs: Vec<Matrix> = (1..=5).map(features).collect();
+        for x in &inputs[..3] {
+            assert!(!memo.fit(x, Retention::Kaiser).unwrap().1);
+        }
+        // Touch the oldest so the second input becomes the eviction victim.
+        assert!(memo.fit(&inputs[0], Retention::Kaiser).unwrap().1);
+        for x in &inputs[3..] {
+            assert!(!memo.fit(x, Retention::Kaiser).unwrap().1);
+            assert!(memo.len() <= 3);
+        }
+        assert_eq!(memo.len(), 3);
+        assert!(memo.fit(&inputs[0], Retention::Kaiser).unwrap().1);
+        assert!(!memo.fit(&inputs[1], Retention::Kaiser).unwrap().1);
+    }
+
+    #[test]
+    fn pca_memo_does_not_store_failed_fits() {
+        let memo = PcaMemo::new(2);
+        let single = Matrix::from_rows(vec![vec![1.0, 2.0]]).unwrap();
+        assert!(memo.fit(&single, Retention::Kaiser).is_err());
+        assert_eq!(memo.len(), 0);
     }
 
     #[test]

@@ -21,27 +21,37 @@ pub const SCHEMA_VERSION: u32 = 1;
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fingerprint(String);
 
+/// The canonical key entries every job of one profile shares, in key
+/// order: `schema` through `profile`.
+fn profile_entries(campaign: &Campaign, profile: &WorkloadProfile) -> Vec<(String, Value)> {
+    vec![
+        ("schema".to_string(), SCHEMA_VERSION.to_value()),
+        ("instructions".to_string(), campaign.instructions.to_value()),
+        ("warmup".to_string(), campaign.warmup.to_value()),
+        ("seed".to_string(), campaign.seed.to_value()),
+        ("profile".to_string(), profile.to_value()),
+    ]
+}
+
+/// The `"sampling"` entry. Sampled measurements are approximations of
+/// their exact counterparts, never substitutes: the policy joins the key
+/// so sampled and exact results can never alias, but only when
+/// non-default, so every exact key keeps the digest it had before
+/// sampling existed.
+fn sampling_entry(campaign: &Campaign) -> Option<(String, Value)> {
+    campaign
+        .sampling
+        .is_sampled()
+        .then(|| ("sampling".to_string(), campaign.sampling.to_value()))
+}
+
 impl Fingerprint {
-    /// Fingerprints one simulation job.
+    /// Fingerprints one simulation job. The engine fingerprints a whole
+    /// grid without this call: it hashes each profile's key prefix once
+    /// (`JobPrefix`) and serializes each machine once (`MachineJson`),
+    /// which gives the same digest.
     pub fn of_job(campaign: &Campaign, profile: &WorkloadProfile, machine: &MachineConfig) -> Self {
-        let mut entries = vec![
-            ("schema".to_string(), SCHEMA_VERSION.to_value()),
-            ("instructions".to_string(), campaign.instructions.to_value()),
-            ("warmup".to_string(), campaign.warmup.to_value()),
-            ("seed".to_string(), campaign.seed.to_value()),
-            ("profile".to_string(), profile.to_value()),
-            ("machine".to_string(), machine.to_value()),
-        ];
-        // Sampled measurements are approximations of their exact
-        // counterparts, never substitutes: the policy joins the key (only
-        // when non-default, so every pre-existing exact entry keeps its
-        // digest) and sampled/exact results can never alias.
-        if campaign.sampling.is_sampled() {
-            entries.push(("sampling".to_string(), campaign.sampling.to_value()));
-        }
-        let key = Value::Map(entries);
-        let canonical = serde_json::to_string(&key).expect("canonical key serializes");
-        Fingerprint(fnv1a_128_hex(canonical.as_bytes()))
+        JobPrefix::new(campaign, profile).job(&MachineJson::new(machine))
     }
 
     /// Fingerprints the trace-defining inputs of a job — the campaign
@@ -51,22 +61,15 @@ impl Fingerprint {
     /// batch (see `horizon_uarch::FleetSimulator`) without changing any
     /// result.
     pub fn of_profile(campaign: &Campaign, profile: &WorkloadProfile) -> Self {
-        let mut entries = vec![
-            ("schema".to_string(), SCHEMA_VERSION.to_value()),
-            ("instructions".to_string(), campaign.instructions.to_value()),
-            ("warmup".to_string(), campaign.warmup.to_value()),
-            ("seed".to_string(), campaign.seed.to_value()),
-            ("profile".to_string(), profile.to_value()),
-        ];
-        // Keep sampled and exact batches apart for the same reason as
-        // `of_job`: a fleet batch's sampling policy changes what its jobs
+        let mut entries = profile_entries(campaign, profile);
+        // Keep sampled and exact batches apart for the same reason as job
+        // keys: a fleet batch's sampling policy changes what its jobs
         // compute, even though the expanded trace is identical.
-        if campaign.sampling.is_sampled() {
-            entries.push(("sampling".to_string(), campaign.sampling.to_value()));
-        }
-        let key = Value::Map(entries);
-        let canonical = serde_json::to_string(&key).expect("canonical key serializes");
-        Fingerprint(fnv1a_128_hex(canonical.as_bytes()))
+        entries.extend(sampling_entry(campaign));
+        let canonical = serde_json::to_string(&Value::Map(entries)).expect("key serializes");
+        let mut hash = Fnv1a128::new();
+        hash.write(canonical.as_bytes());
+        Fingerprint(hash.hex())
     }
 
     /// The hex digest.
@@ -81,16 +84,88 @@ impl std::fmt::Display for Fingerprint {
     }
 }
 
-/// 128-bit FNV-1a, rendered as 32 hex digits.
-fn fnv1a_128_hex(bytes: &[u8]) -> String {
+/// A machine config's canonical JSON, serialized once and reused for
+/// every job of the grid that runs on it.
+#[derive(Debug, Clone)]
+pub(crate) struct MachineJson(String);
+
+impl MachineJson {
+    /// Serializes `machine` as it appears in a job key.
+    pub(crate) fn new(machine: &MachineConfig) -> Self {
+        MachineJson(serde_json::to_string(machine).expect("machine serializes"))
+    }
+}
+
+/// The job key of one profile row, hashed up to the machine.
+///
+/// A job's canonical key is the compact JSON object
+/// `{"schema":…,"instructions":…,"warmup":…,"seed":…,"profile":…,"machine":…}`,
+/// plus a trailing `"sampling"` entry for sampled campaigns, and its
+/// fingerprint is the 128-bit FNV-1a hash of those bytes. FNV-1a is a
+/// left-to-right fold, so the state after the shared prefix (everything
+/// before the machine's value) is computed once per profile and every
+/// job of the row continues it over the machine's pre-serialized JSON
+/// and the closing bytes. The digest is identical to hashing the whole
+/// key as one string.
+#[derive(Debug, Clone)]
+pub(crate) struct JobPrefix {
+    hash: Fnv1a128,
+    /// The bytes after the machine's value: the sampling entry, if any,
+    /// and the closing brace.
+    tail: String,
+}
+
+impl JobPrefix {
+    /// Hashes the key prefix shared by every job of `profile`.
+    pub(crate) fn new(campaign: &Campaign, profile: &WorkloadProfile) -> Self {
+        let head = serde_json::to_string(&Value::Map(profile_entries(campaign, profile)))
+            .expect("key prefix serializes");
+        let open = head.strip_suffix('}').expect("a JSON object");
+        let mut hash = Fnv1a128::new();
+        hash.write(open.as_bytes());
+        hash.write(b",\"machine\":");
+        let mut tail = String::new();
+        if let Some((key, value)) = sampling_entry(campaign) {
+            tail.push(',');
+            tail.push_str(&serde_json::to_string(&key).expect("key serializes"));
+            tail.push(':');
+            tail.push_str(&serde_json::to_string(&value).expect("policy serializes"));
+        }
+        tail.push('}');
+        JobPrefix { hash, tail }
+    }
+
+    /// The fingerprint of this profile's job on `machine`.
+    pub(crate) fn job(&self, machine: &MachineJson) -> Fingerprint {
+        let mut hash = self.hash;
+        hash.write(machine.0.as_bytes());
+        hash.write(self.tail.as_bytes());
+        Fingerprint(hash.hex())
+    }
+}
+
+/// 128-bit FNV-1a state, rendered as 32 hex digits.
+#[derive(Debug, Clone, Copy)]
+struct Fnv1a128(u128);
+
+impl Fnv1a128 {
     const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
     const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= u128::from(b);
-        hash = hash.wrapping_mul(PRIME);
+
+    fn new() -> Self {
+        Fnv1a128(Self::OFFSET)
     }
-    format!("{hash:032x}")
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u128::from(b);
+            self.0 = self.0.wrapping_mul(Self::PRIME);
+        }
+    }
+
+    fn hex(self) -> String {
+        format!("{:032x}", self.0)
+    }
 }
 
 #[cfg(test)]
@@ -170,6 +245,80 @@ mod tests {
         assert_ne!(
             Fingerprint::of_job(&sampled, &p, &m),
             Fingerprint::of_job(&other_knobs, &p, &m)
+        );
+    }
+
+    /// The whole-string key: the canonical JSON built in one piece and
+    /// hashed in one pass. The streamed path must match it digit for digit.
+    fn reference_of_job(
+        campaign: &Campaign,
+        profile: &WorkloadProfile,
+        machine: &MachineConfig,
+    ) -> Fingerprint {
+        let mut entries = vec![
+            ("schema".to_string(), SCHEMA_VERSION.to_value()),
+            ("instructions".to_string(), campaign.instructions.to_value()),
+            ("warmup".to_string(), campaign.warmup.to_value()),
+            ("seed".to_string(), campaign.seed.to_value()),
+            ("profile".to_string(), profile.to_value()),
+            ("machine".to_string(), machine.to_value()),
+        ];
+        if campaign.sampling.is_sampled() {
+            entries.push(("sampling".to_string(), campaign.sampling.to_value()));
+        }
+        let canonical = serde_json::to_string(&Value::Map(entries)).unwrap();
+        let mut hash = Fnv1a128::new();
+        hash.write(canonical.as_bytes());
+        Fingerprint(hash.hex())
+    }
+
+    #[test]
+    fn streamed_digests_match_the_whole_string_key_for_every_cell() {
+        use horizon_core::campaign::SamplingPolicy;
+        let mut profiles: Vec<WorkloadProfile> = Vec::new();
+        for benchmark in horizon_workloads::full_catalog() {
+            profiles.push(benchmark.profile().clone());
+            for input in horizon_workloads::inputs::input_sets(&benchmark) {
+                profiles.push(input.profile);
+            }
+        }
+        let machines = MachineConfig::table_iv_machines();
+        let machine_json: Vec<MachineJson> = machines.iter().map(MachineJson::new).collect();
+        let campaigns = [
+            Campaign::default(),
+            Campaign::quick(),
+            Campaign {
+                sampling: SamplingPolicy::simpoint_default(),
+                ..Campaign::quick()
+            },
+        ];
+        let mut cells = 0;
+        for campaign in &campaigns {
+            for profile in &profiles {
+                let prefix = JobPrefix::new(campaign, profile);
+                for (machine, json) in machines.iter().zip(&machine_json) {
+                    let reference = reference_of_job(campaign, profile, machine);
+                    assert_eq!(prefix.job(json), reference, "{}", profile.name());
+                    assert_eq!(Fingerprint::of_job(campaign, profile, machine), reference);
+                    cells += 1;
+                }
+            }
+        }
+        assert!(cells >= 3 * 70 * 7, "{cells} cells");
+    }
+
+    #[test]
+    fn digests_are_pinned() {
+        // Disk caches written by earlier builds key on these digests; a
+        // change here silently turns every cached entry into a miss.
+        let (c, p, m) = sample_inputs();
+        assert_eq!(
+            Fingerprint::of_job(&c, &p, &m).as_str(),
+            "285852e5460b2309e0a371376c60ed33"
+        );
+        assert_eq!(
+            Fingerprint::of_profile(&c, &p).as_str(),
+            "1fcd381a7c492b226f81ea8680290d59"
         );
     }
 

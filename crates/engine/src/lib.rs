@@ -86,6 +86,7 @@ pub use stats::{EngineStats, JobTiming};
 // grow their own `horizon-tracestore` dependency.
 pub use horizon_tracestore::{TraceGc, TraceKey, TraceStore};
 
+use crate::fingerprint::{JobPrefix, MachineJson};
 use crate::inflight::{Claim, FollowerTicket, InflightTable, LeaderGuard};
 use horizon_core::campaign::{Campaign, CampaignExecutor, CampaignResult, Measurement};
 use horizon_telemetry::{Recorder, Span};
@@ -310,10 +311,14 @@ impl Engine {
         let mut jobs: Vec<(usize, usize)> = Vec::new();
         let mut fingerprints: Vec<Fingerprint> = Vec::new();
         let mut cell_jobs: Vec<Vec<usize>> = Vec::with_capacity(profiles.len());
+        // Each machine is serialized once and each profile's key prefix
+        // hashed once; a cell only hashes its machine's bytes on top.
+        let machine_json: Vec<MachineJson> = machines.iter().map(MachineJson::new).collect();
         for (w, profile) in profiles.iter().enumerate() {
+            let prefix = JobPrefix::new(campaign, profile);
             let mut row = Vec::with_capacity(machines.len());
-            for (m, machine) in machines.iter().enumerate() {
-                let fp = Fingerprint::of_job(campaign, profile, machine);
+            for (m, machine) in machine_json.iter().enumerate() {
+                let fp = prefix.job(machine);
                 let id = *job_index.entry(fp.clone()).or_insert_with(|| {
                     jobs.push((w, m));
                     fingerprints.push(fp);

@@ -192,6 +192,10 @@ impl Recorder {
     }
 
     /// Overrides the retained-span cap (counters/histograms are unaffected).
+    /// A cap of 0 keeps no span records at all: spans still feed the
+    /// per-name wall histograms and count as dropped, but their fields are
+    /// never stored — the setting for a long-lived process that nothing
+    /// reads a trace back from.
     #[must_use]
     pub fn with_span_capacity(mut self, capacity: usize) -> Self {
         self.span_capacity = capacity;
@@ -359,28 +363,25 @@ impl Recorder {
             }
         });
         let duration_nanos = span.start.elapsed().as_nanos() as u64;
-        let record = SpanRecord {
-            id: span.id,
-            parent: span.parent,
-            name: span.name,
-            thread: current_thread_id(),
-            run: span.run,
-            start_nanos: span.start_nanos,
-            duration_nanos,
-            fields: std::mem::take(&mut span.fields),
-        };
-        {
-            let mut state = self.state.lock().expect("telemetry state");
-            state
-                .span_wall
-                .entry(span.name)
-                .or_default()
-                .record(duration_nanos);
-            if state.spans.len() < self.span_capacity {
-                state.spans.push(record);
-            } else {
-                state.dropped_spans += 1;
-            }
+        let mut state = self.state.lock().expect("telemetry state");
+        state
+            .span_wall
+            .entry(span.name)
+            .or_default()
+            .record(duration_nanos);
+        if state.spans.len() < self.span_capacity {
+            state.spans.push(SpanRecord {
+                id: span.id,
+                parent: span.parent,
+                name: span.name,
+                thread: current_thread_id(),
+                run: span.run,
+                start_nanos: span.start_nanos,
+                duration_nanos,
+                fields: std::mem::take(&mut span.fields),
+            });
+        } else {
+            state.dropped_spans += 1;
         }
     }
 }
@@ -420,7 +421,9 @@ impl Span {
     /// Attaches a structured field, recorded when the span closes.
     pub fn record(&mut self, key: &'static str, value: impl Into<FieldValue>) {
         if let Some(span) = self.inner.as_mut() {
-            span.fields.push((key, value.into()));
+            if span.recorder.span_capacity > 0 {
+                span.fields.push((key, value.into()));
+            }
         }
     }
 
@@ -519,6 +522,22 @@ mod tests {
         assert_eq!(snap.spans.len(), 2);
         assert_eq!(snap.dropped_spans, 3);
         assert_eq!(snap.span_wall.get("phase").unwrap().count(), 5);
+    }
+
+    #[test]
+    fn zero_span_capacity_keeps_no_records_but_keeps_totals() {
+        let r = Arc::new(Recorder::new().with_span_capacity(0));
+        for _ in 0..3 {
+            let mut s = r.span("request");
+            s.record("path", "/run/table1");
+            assert!(s.inner.as_ref().unwrap().fields.is_empty());
+        }
+        r.counter_add("c", 1);
+        let snap = r.snapshot();
+        assert!(snap.spans.is_empty());
+        assert_eq!(snap.dropped_spans, 3);
+        assert_eq!(snap.span_wall.get("request").unwrap().count(), 3);
+        assert_eq!(snap.counter("c"), 1);
     }
 
     #[test]

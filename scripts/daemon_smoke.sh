@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the `repro serve` daemon: health, keep-alive,
-# memoization across requests, trace-store write/replay, cache GC,
+# memoization across requests, bounded memory over a burst of warm
+# requests, trace-store write/replay, cache GC,
 # request coalescing, JSON/text response formats, rejection of the
 # retired streaming routes, phase-sampled runs (simpoint.* metrics), and
 # graceful drain.
@@ -45,6 +46,26 @@ curl -fsS -X POST -d '{"quick":true}' "${BASE}/run/table1" > /dev/null
 hits_after=$(metric horizon_engine_memo_hits)
 echo "memo hits: ${hits_before} -> ${hits_after}"
 test "${hits_after}" -gt "${hits_before}"
+
+# Memory growth: a burst of warm keep-alive requests must not grow the
+# daemon. It keeps no per-request state (no span records; its PCA memo is
+# bounded), so VmRSS may move by allocator noise only: ~0.1 MB here, where
+# a daemon that kept a span record per request grew ~6.8 MB over the same
+# 300 requests.
+RSS_BURST=150          # rounds of the two experiments below
+RSS_BOUND_KB=1536
+vm_rss_kb() { awk '/^VmRSS:/ {print $2}' "/proc/${SERVE_PID}/status"; }
+curl -fsS -X POST -d '{"quick":true}' "${BASE}/run/table2" "${BASE}/run/fig2" > /dev/null
+rss_before=$(vm_rss_kb)
+burst=()
+for _ in $(seq 1 "${RSS_BURST}"); do
+  burst+=("${BASE}/run/table2?format=text" "${BASE}/run/fig2?format=text")
+done
+curl -fsS -X POST -d '{"quick":true}' "${burst[@]}" > /dev/null
+rss_after=$(vm_rss_kb)
+echo "VmRSS over ${#burst[@]} warm requests: ${rss_before} kB -> ${rss_after} kB" \
+  "(bound: +${RSS_BOUND_KB} kB)"
+test $((rss_after - rss_before)) -le "${RSS_BOUND_KB}"
 
 # Trace store: a fresh seed misses memo and disk cache, so table1 writes
 # packed traces through the .ci-cache/traces store and fig2
