@@ -38,11 +38,6 @@ pub fn install_executor(executor: Arc<dyn CampaignExecutor>) {
     *EXECUTOR.write().expect("executor lock") = Some(executor);
 }
 
-/// Removes the installed executor, restoring the builtin backend.
-pub fn clear_executor() {
-    *EXECUTOR.write().expect("executor lock") = None;
-}
-
 fn installed_executor() -> Option<Arc<dyn CampaignExecutor>> {
     EXECUTOR.read().expect("executor lock").clone()
 }

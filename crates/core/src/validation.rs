@@ -8,7 +8,6 @@
 
 use horizon_stats::geometric_mean;
 
-use crate::subsetting::Subset;
 use horizon_uarch::MachineConfig;
 use horizon_workloads::systems::SystemRecord;
 use horizon_workloads::Benchmark;
@@ -157,52 +156,6 @@ impl SpeedupTable {
                     system: system.clone(),
                     full_score: full,
                     subset_score,
-                })
-            })
-            .collect()
-    }
-
-    /// Validates a clustered subset with cluster-size weighting: each
-    /// representative's speedup enters the geomean weighted by how many
-    /// benchmarks it stands for, following the weighted-score practice of
-    /// Phansalkar et al. (ISCA'07) that this group's subsetting work uses.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::NotFound`] if a representative is not in the
-    /// table and propagates geometric-mean failures.
-    pub fn validate_clustered(&self, subset: &Subset) -> Result<Vec<SystemScore>, CoreError> {
-        let mut span = horizon_telemetry::span("core.validate");
-        span.record("subset", subset.representatives.len());
-        span.record("weighted", true);
-        let indices: Vec<(usize, f64)> = subset
-            .representatives
-            .iter()
-            .zip(&subset.clusters)
-            .map(|(name, members)| {
-                let idx = self
-                    .benchmark_names
-                    .iter()
-                    .position(|n| n == name)
-                    .ok_or_else(|| CoreError::NotFound {
-                        kind: "benchmark",
-                        name: name.clone(),
-                    })?;
-                Ok((idx, members.len() as f64))
-            })
-            .collect::<Result<_, CoreError>>()?;
-        self.system_names
-            .iter()
-            .zip(&self.speedups)
-            .map(|(system, row)| {
-                let full = geometric_mean(row)?;
-                let total_w: f64 = indices.iter().map(|(_, w)| w).sum();
-                let log_mean: f64 =
-                    indices.iter().map(|&(i, w)| w * row[i].ln()).sum::<f64>() / total_w;
-                Ok(SystemScore {
-                    system: system.clone(),
-                    full_score: full,
-                    subset_score: log_mean.exp(),
                 })
             })
             .collect()

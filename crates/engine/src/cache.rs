@@ -12,6 +12,7 @@ use horizon_core::campaign::Measurement;
 use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::SystemTime;
 
 use crate::fingerprint::{Fingerprint, SCHEMA_VERSION};
@@ -118,7 +119,10 @@ impl DiskCache {
 
     /// Stores a measurement. Best-effort: reports success, and leaves any
     /// prior entry untouched on failure (writes go through a temp file and
-    /// an atomic rename, so readers never see partial JSON).
+    /// an atomic rename, so readers never see partial JSON). Each writer
+    /// gets its own temp file, named by pid and a process-wide counter, so
+    /// concurrent stores of one entry never write into each other's file;
+    /// the last rename wins, and every candidate holds the same bytes.
     pub fn store(&self, fingerprint: &Fingerprint, measurement: &Measurement) -> bool {
         let entry = CacheEntry {
             version: SCHEMA_VERSION,
@@ -129,7 +133,12 @@ impl DiskCache {
             return false;
         };
         let path = self.entry_path(fingerprint);
-        let tmp = self.dir.join(format!(".{fingerprint}.tmp"));
+        static WRITERS: AtomicU64 = AtomicU64::new(0);
+        let writer = WRITERS.fetch_add(1, Ordering::Relaxed);
+        let tmp = self.dir.join(format!(
+            ".{fingerprint}.{}.{writer}.tmp",
+            std::process::id()
+        ));
         let write = || -> std::io::Result<()> {
             let mut file = std::fs::File::create(&tmp)?;
             file.write_all(text.as_bytes())?;
@@ -285,6 +294,37 @@ mod tests {
         // Re-storing repairs the entry.
         assert!(cache.store(&fp, &m));
         assert_eq!(cache.load(&fp).as_ref(), Some(&m));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_stores_of_one_entry_all_succeed() {
+        let dir = temp_dir("concurrent-store");
+        let (fp, m) = sample();
+        let (failed_stores, missed_loads) = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    let cache = DiskCache::open(&dir).unwrap();
+                    let (fp, m) = (&fp, &m);
+                    scope.spawn(move || {
+                        let (mut failed, mut missed) = (0, 0);
+                        for _ in 0..200 {
+                            failed += usize::from(!cache.store(fp, m));
+                            missed += usize::from(cache.load(fp).as_ref() != Some(m));
+                        }
+                        (failed, missed)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .fold((0, 0), |acc, (f, l)| (acc.0 + f, acc.1 + l))
+        });
+        assert_eq!(failed_stores, 0, "every store must succeed");
+        assert_eq!(missed_loads, 0, "no load may see a torn entry");
+        let leftovers = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(leftovers, 1, "only the entry remains, no temp files");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -3,7 +3,7 @@
 //! The builtin backend in `horizon-core` simulates every (workload,
 //! machine) grid cell of every campaign, even when experiments overlap —
 //! `repro all` re-simulates the full Table IV grid many times. This crate
-//! replaces that with a three-layer engine:
+//! replaces that with a four-part engine:
 //!
 //! 1. **Expansion + deduplication** — a campaign expands into jobs keyed
 //!    by a content [`Fingerprint`] of `(workload profile, machine config,
@@ -19,15 +19,13 @@
 //!    optionally, an on-disk JSON cache ([`DiskCache`]), so each unique
 //!    job simulates exactly once per process (and at most once per cache
 //!    lifetime across processes).
-//! 4. **In-flight coalescing** — campaigns running *concurrently* on one
-//!    engine (e.g. overlapping `repro serve` requests) claim their memo
-//!    misses in a shared in-flight table under the memo lock. The first
-//!    claimant of a fingerprint leads and simulates it; later claimants
-//!    follow and receive the leader's published measurement, so
-//!    overlapping campaigns never duplicate work even before anything
-//!    reaches the memo. A leader that dies before publishing fails its
-//!    followers with a clean error — no waiter hangs, no partial memo
-//!    entry ([`Engine::inflight_waiting`] reports live waiters).
+//! 4. **One simulation lock** — a campaign that still has misses after
+//!    its memo and disk probes takes the engine's simulation lock,
+//!    probes the memo once more, and simulates and memoizes what is left
+//!    before releasing it. Campaigns running *concurrently* on one engine
+//!    (e.g. overlapping `repro serve` requests) therefore never simulate a
+//!    job twice: the later one finds the earlier one's results in the
+//!    memo. The wait is recorded as `lock_wait_ns` on `engine.probe`.
 //!
 //! # Determinism
 //!
@@ -47,11 +45,10 @@
 //! opens an `engine.campaign` span with child stage spans
 //! (`engine.expand`, `engine.probe`, `engine.simulate`, `engine.integrate`,
 //! `engine.assemble`) and one `engine.job` span per unique job carrying
-//! `workload` / `machine` / `outcome` (`"memo"`, `"disk"`, `"coalesced"`,
-//! or `"simulated"`) fields; worker-side job spans are explicitly parented
+//! `workload` / `machine` / `outcome` (`"memo"`, `"disk"` or
+//! `"simulated"`) fields; worker-side job spans are explicitly parented
 //! to the campaign span. Counters (`engine.campaigns`, `engine.cells`,
-//! `engine.unique_jobs`, `engine.simulated_jobs`, `engine.coalesced_jobs`,
-//! `engine.memo_hits`,
+//! `engine.unique_jobs`, `engine.simulated_jobs`, `engine.memo_hits`,
 //! `engine.disk_hits`, `engine.simulated_instructions`,
 //! `engine.simulation_wall_nanos`, `engine.elapsed_nanos`) and histograms
 //! (`engine.queue_wait_ns`, `engine.job_wall_ns`) accumulate alongside.
@@ -74,7 +71,6 @@
 mod cache;
 mod cost;
 mod fingerprint;
-mod inflight;
 mod stats;
 
 pub use cache::{DiskCache, GcReport};
@@ -87,7 +83,6 @@ pub use stats::{EngineStats, JobTiming};
 pub use horizon_tracestore::{TraceGc, TraceKey, TraceStore};
 
 use crate::fingerprint::{JobPrefix, MachineJson};
-use crate::inflight::{Claim, FollowerTicket, InflightTable, LeaderGuard};
 use horizon_core::campaign::{Campaign, CampaignExecutor, CampaignResult, Measurement};
 use horizon_telemetry::{Recorder, Span};
 use horizon_trace::{Instruction, TraceGenerator, WorkloadProfile};
@@ -95,25 +90,8 @@ use horizon_tracestore::{PendingTrace, TraceReader};
 use horizon_uarch::MachineConfig;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
-
-/// Progress report for one resolved job.
-#[derive(Debug, Clone)]
-pub struct ProgressEvent {
-    /// Jobs resolved so far in this campaign (including this one).
-    pub completed: usize,
-    /// Unique jobs in this campaign.
-    pub total: usize,
-    /// Workload name of the job.
-    pub workload: String,
-    /// Machine name of the job.
-    pub machine: String,
-    /// True when served from memo or disk cache rather than simulated.
-    pub cached: bool,
-}
-
-type ProgressCallback = Box<dyn Fn(&ProgressEvent) + Send + Sync>;
 
 /// The execution engine. Cheap to construct; hold one for the process
 /// lifetime to maximize memoization.
@@ -126,9 +104,10 @@ pub struct Engine {
     disk: Option<DiskCache>,
     traces: Option<TraceStore>,
     memo: Mutex<HashMap<Fingerprint, Measurement>>,
-    inflight: InflightTable,
+    /// Held by the one campaign simulating at a time, from its last memo
+    /// probe until its results are memoized.
+    simulating: Mutex<()>,
     recorder: Arc<Recorder>,
-    progress: Option<ProgressCallback>,
 }
 
 impl Default for Engine {
@@ -146,9 +125,8 @@ impl Engine {
             disk: None,
             traces: None,
             memo: Mutex::new(HashMap::new()),
-            inflight: InflightTable::default(),
+            simulating: Mutex::new(()),
             recorder: Arc::new(Recorder::new()),
-            progress: None,
         }
     }
 
@@ -241,25 +219,6 @@ impl Engine {
         self.memo.lock().expect("memo lock").len()
     }
 
-    /// Campaigns' follower jobs currently blocked waiting on another
-    /// campaign's in-flight simulation of the same fingerprint. A health
-    /// endpoint reports this as live coalescing pressure; it is `0`
-    /// whenever no campaigns overlap.
-    pub fn inflight_waiting(&self) -> usize {
-        self.inflight.waiting()
-    }
-
-    /// Registers a progress callback, invoked once per unique job as it
-    /// resolves (possibly from worker threads).
-    #[must_use]
-    pub fn with_progress(
-        mut self,
-        callback: impl Fn(&ProgressEvent) + Send + Sync + 'static,
-    ) -> Self {
-        self.progress = Some(Box::new(callback));
-        self
-    }
-
     /// Installs this engine as the process-wide campaign executor.
     pub fn install(self: Arc<Self>) {
         horizon_core::campaign::install_executor(self);
@@ -332,50 +291,36 @@ impl Engine {
 
         // Phase 2: serve jobs from the memo table, then the disk cache.
         // Cached jobs get their span here, implicitly nested under
-        // engine.probe (itself under engine.campaign). Each memo miss is
-        // claimed in the in-flight table *while the memo lock is held*:
-        // publication inserts into the memo before retiring the in-flight
-        // entry, so under the lock every job is either memoized, in
-        // flight (another campaign leads it — we follow), or genuinely
-        // unstarted (we lead it). There is no window in which two
-        // campaigns can both decide to simulate the same fingerprint.
-        let probe_span = rec.span("engine.probe");
+        // engine.probe (itself under engine.campaign). Disk hits are
+        // memoized as they load.
+        let mut probe_span = rec.span("engine.probe");
         let probe_id = probe_span.id();
         let mut resolved: Vec<Option<Measurement>> = vec![None; jobs.len()];
-        let mut leaders: Vec<Option<LeaderGuard<'_>>> = Vec::with_capacity(jobs.len());
-        let mut followers: Vec<(usize, FollowerTicket)> = Vec::new();
-        let mut memo_hits = 0u64;
-        let mut disk_hits = 0u64;
-        {
+        let probe_memo = |resolved: &mut [Option<Measurement>]| {
             let memo = self.memo.lock().expect("memo lock");
-            for (id, fp) in fingerprints.iter().enumerate() {
-                if let Some(m) = memo.get(fp) {
-                    resolved[id] = Some(m.clone());
-                    memo_hits += 1;
-                    let (w, mach) = jobs[id];
-                    drop(self.job_span(probe_id, &profiles[w], &machines[mach], "memo"));
-                    leaders.push(None);
-                } else {
-                    match self.inflight.claim(fp) {
-                        Claim::Leader(guard) => leaders.push(Some(guard)),
-                        Claim::Follower(ticket) => {
-                            followers.push((id, ticket));
-                            leaders.push(None);
-                        }
+            let mut hits = 0u64;
+            for (id, slot) in resolved.iter_mut().enumerate() {
+                if slot.is_none() {
+                    if let Some(m) = memo.get(&fingerprints[id]) {
+                        *slot = Some(m.clone());
+                        hits += 1;
+                        let (w, mach) = jobs[id];
+                        drop(self.job_span(probe_id, &profiles[w], &machines[mach], "memo"));
                     }
                 }
             }
-        }
-        // Disk hits are published too: a follower waiting on this
-        // fingerprint in another campaign gets fed from here.
+            hits
+        };
+        let mut memo_hits = probe_memo(&mut resolved);
+        let mut disk_hits = 0u64;
         if let Some(disk) = &self.disk {
             for (id, fp) in fingerprints.iter().enumerate() {
-                if leaders[id].is_some() {
+                if resolved[id].is_none() {
                     if let Some(m) = disk.load(fp) {
-                        leaders[id]
-                            .take()
-                            .expect("leader checked above")
-                            .publish(&m, &self.memo);
+                        self.memo
+                            .lock()
+                            .expect("memo lock")
+                            .insert(fp.clone(), m.clone());
                         resolved[id] = Some(m);
                         disk_hits += 1;
                         let (w, mach) = jobs[id];
@@ -384,15 +329,23 @@ impl Engine {
                 }
             }
         }
-
-        let completed = AtomicUsize::new(0);
-        let total = jobs.len();
-        for (id, m) in resolved.iter().enumerate() {
-            if m.is_some() {
-                let (w, mach) = jobs[id];
-                self.emit_progress(&completed, total, &profiles[w], &machines[mach], true);
-            }
-        }
+        // Misses remain: take the simulation lock and probe the memo once
+        // more, since the campaign that held the lock may have simulated
+        // some of them. The lock is held until this campaign's results are
+        // memoized, so no job simulates twice in one process. A campaign
+        // that panicked while holding it poisons it; the lock guards no
+        // data and only whole measurements are ever memoized, so the
+        // poison is recovered, not propagated.
+        let simulating = resolved.iter().any(Option::is_none).then(|| {
+            let wait_start = Instant::now();
+            let guard = self
+                .simulating
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            probe_span.record("lock_wait_ns", wait_start.elapsed().as_nanos() as u64);
+            memo_hits += probe_memo(&mut resolved);
+            guard
+        });
         drop(probe_span);
 
         // Phase 3: simulate the misses on the work-stealing pool, grouped
@@ -415,10 +368,8 @@ impl Engine {
             .collect();
         let mut batch_index: HashMap<Fingerprint, usize> = HashMap::new();
         // Per batch: (workload index of the first job, member job ids).
-        // Only jobs this campaign leads are scheduled; followed jobs are
-        // collected from their leaders after the pool drains.
         let mut batches: Vec<(usize, Vec<usize>)> = Vec::new();
-        for id in (0..jobs.len()).filter(|&id| leaders[id].is_some()) {
+        for id in (0..jobs.len()).filter(|&id| resolved[id].is_none()) {
             let w = jobs[id].0;
             match batch_index.entry(Fingerprint::of_profile(campaign, &profiles[w])) {
                 std::collections::hash_map::Entry::Occupied(e) => {
@@ -457,16 +408,6 @@ impl Engine {
         };
         let slots: Vec<OnceLock<(Measurement, u64)>> =
             misses.iter().map(|_| OnceLock::new()).collect();
-        // In-flight guards, batch-major like `slots`. A worker takes a
-        // batch's guards before simulating; if the simulation (or the
-        // progress callback) panics, the unwound guards flip their slots
-        // to failed and every follower in other campaigns gets a clean
-        // error instead of hanging. Guards for batches no worker reached
-        // drop the same way when this frame unwinds.
-        let guards: Vec<Mutex<Option<LeaderGuard<'_>>>> = misses
-            .iter()
-            .map(|&id| Mutex::new(leaders[id].take()))
-            .collect();
         if !batches.is_empty() {
             let simulate_span = rec.span("engine.simulate");
             let cursor = AtomicUsize::new(0);
@@ -484,15 +425,6 @@ impl Engine {
                             let (w, ids) = &batches[b];
                             let batch_machines: Vec<MachineConfig> =
                                 ids.iter().map(|&id| machines[jobs[id].1].clone()).collect();
-                            let batch_guards: Vec<LeaderGuard<'_>> = (0..ids.len())
-                                .map(|k| {
-                                    guards[batch_start[b] + k]
-                                        .lock()
-                                        .expect("guard slot")
-                                        .take()
-                                        .expect("each guard is taken once")
-                                })
-                                .collect();
                             let job_start = Instant::now();
                             let measurements =
                                 self.measure_batch(campaign, &profiles[*w], &batch_machines);
@@ -501,8 +433,7 @@ impl Engine {
                             // so per-job accounting sums exactly to the batch.
                             let n = ids.len() as u64;
                             let (share, extra) = (wall / n, wall % n);
-                            for (k, ((&id, measurement), guard)) in
-                                ids.iter().zip(measurements).zip(batch_guards).enumerate()
+                            for (k, (&id, measurement)) in ids.iter().zip(measurements).enumerate()
                             {
                                 let (jw, jm) = jobs[id];
                                 let wall_nanos = share + u64::from((k as u64) < extra);
@@ -525,22 +456,6 @@ impl Engine {
                                 slots[batch_start[b] + k]
                                     .set((measurement, wall_nanos))
                                     .expect("each slot is claimed once");
-                                self.emit_progress(
-                                    &completed,
-                                    total,
-                                    &profiles[jw],
-                                    &machines[jm],
-                                    false,
-                                );
-                                // Publish last: anything that panics above
-                                // (simulation, telemetry, the progress
-                                // callback) drops the guard unpublished and
-                                // fails co-waiters instead of feeding them a
-                                // result this campaign never vouched for.
-                                let (m, _) = slots[batch_start[b] + k]
-                                    .get()
-                                    .expect("slot set just above");
-                                guard.publish(m, &self.memo);
                             }
                         }
                     });
@@ -549,42 +464,23 @@ impl Engine {
             drop(simulate_span);
         }
 
-        // Phase 3b: collect followed jobs from their leaders. Waited only
-        // after this campaign's own misses drained, so coalescing never
-        // idles the local pool. A leader that abandoned its job (panic or
-        // terminal error in the other campaign) fails this campaign too —
-        // loudly, with nothing partial memoized.
-        let coalesced = followers.len() as u64;
-        for (id, ticket) in followers {
-            let (w, mach) = jobs[id];
-            match ticket.wait() {
-                Ok(m) => {
-                    drop(self.job_span(campaign_id, &profiles[w], &machines[mach], "coalesced"));
-                    resolved[id] = Some(m);
-                    self.emit_progress(&completed, total, &profiles[w], &machines[mach], true);
-                }
-                Err(error) => panic!(
-                    "coalesced job {} on {} failed in its leading campaign: {error}",
-                    profiles[w].name(),
-                    machines[mach].name,
-                ),
-            }
-        }
-
-        // Phase 4: integrate results into the disk cache and counters.
-        // Memo entries were already inserted at publication time (so
-        // co-waiting campaigns could read them); only this campaign's own
-        // simulated jobs are stored to disk.
+        // Phase 4: memoize and store the simulated jobs, then release the
+        // simulation lock; account the campaign's counters.
         let integrate_span = rec.span("engine.integrate");
         let mut simulation_wall_nanos = 0u64;
-        for (slot, &id) in misses.iter().enumerate() {
-            let (measurement, wall_nanos) = slots[slot].get().expect("all jobs ran").clone();
+        for (slot, &id) in slots.into_iter().zip(&misses) {
+            let (measurement, wall_nanos) = slot.into_inner().expect("all jobs ran");
+            self.memo
+                .lock()
+                .expect("memo lock")
+                .insert(fingerprints[id].clone(), measurement.clone());
             if let Some(disk) = &self.disk {
                 disk.store(&fingerprints[id], &measurement);
             }
             simulation_wall_nanos += wall_nanos;
             resolved[id] = Some(measurement);
         }
+        drop(simulating);
         let window = campaign.instructions + campaign.warmup;
         rec.counter_add("engine.campaigns", 1);
         rec.counter_add("engine.cells", (profiles.len() * machines.len()) as u64);
@@ -593,7 +489,6 @@ impl Engine {
         rec.counter_add("engine.fleet_batches", batches.len() as u64);
         rec.counter_add("engine.memo_hits", memo_hits);
         rec.counter_add("engine.disk_hits", disk_hits);
-        rec.counter_add("engine.coalesced_jobs", coalesced);
         rec.counter_add(
             "engine.simulated_instructions",
             misses.len() as u64 * window,
@@ -628,11 +523,10 @@ impl Engine {
 
     /// Opens the `engine.job` span of one resolved job under `parent`,
     /// recording its `workload`, `machine` and `outcome` (`"memo"`,
-    /// `"disk"`, `"simulated"` or `"coalesced"`). Cache hits resolve on
-    /// the campaign thread under `engine.probe`; simulated and coalesced
-    /// jobs resolve on workers or after the pool drains and hang off the
-    /// campaign span. Callers add outcome-specific fields before the span
-    /// drops.
+    /// `"disk"` or `"simulated"`). Cache hits resolve on the campaign
+    /// thread under `engine.probe`; simulated jobs resolve on workers and
+    /// hang off the campaign span. Callers add outcome-specific fields
+    /// before the span drops.
     fn job_span(
         &self,
         parent: Option<u64>,
@@ -719,26 +613,6 @@ impl Engine {
             }
         }
         measurements
-    }
-
-    fn emit_progress(
-        &self,
-        completed: &AtomicUsize,
-        total: usize,
-        profile: &WorkloadProfile,
-        machine: &MachineConfig,
-        cached: bool,
-    ) {
-        let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(callback) = &self.progress {
-            callback(&ProgressEvent {
-                completed: done,
-                total,
-                workload: profile.name().to_string(),
-                machine: machine.name.clone(),
-                cached,
-            });
-        }
     }
 }
 

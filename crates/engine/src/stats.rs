@@ -38,10 +38,6 @@ pub struct EngineStats {
     /// trace fingerprint (profile, window, warmup, seed) stream the trace
     /// once together, so this is at most `simulated_jobs`.
     pub fleet_batches: u64,
-    /// Jobs coalesced onto another concurrent campaign's in-flight
-    /// simulation of the same fingerprint (this campaign waited for the
-    /// leader's published measurement instead of re-simulating).
-    pub coalesced_jobs: u64,
     /// Jobs served from the in-memory memo table.
     pub memo_hits: u64,
     /// Jobs served from the on-disk cache.
@@ -104,7 +100,6 @@ impl EngineStats {
             unique_jobs: snapshot.counter("engine.unique_jobs"),
             simulated_jobs: snapshot.counter("engine.simulated_jobs"),
             fleet_batches: snapshot.counter("engine.fleet_batches"),
-            coalesced_jobs: snapshot.counter("engine.coalesced_jobs"),
             memo_hits: snapshot.counter("engine.memo_hits"),
             disk_hits: snapshot.counter("engine.disk_hits"),
             simulated_instructions: snapshot.counter("engine.simulated_instructions"),
@@ -180,9 +175,6 @@ impl EngineStats {
             "  memo hits:       {}\n  disk hits:       {}\n",
             self.memo_hits, self.disk_hits
         ));
-        if self.coalesced_jobs > 0 {
-            out.push_str(&format!("  coalesced:       {}\n", self.coalesced_jobs));
-        }
         out.push_str(&format!(
             "  hit rate:        {:.1}%\n",
             self.hit_rate() * 100.0
@@ -251,7 +243,6 @@ mod tests {
             unique_jobs: 8,
             simulated_jobs: 2,
             fleet_batches: 1,
-            coalesced_jobs: 0,
             memo_hits: 5,
             disk_hits: 1,
             simulated_instructions: 2_000_000,
@@ -319,7 +310,6 @@ mod tests {
             unique_jobs: 4,
             simulated_jobs: 4,
             fleet_batches: 4,
-            coalesced_jobs: 1,
             memo_hits: 0,
             disk_hits: 0,
             simulated_instructions: 100,

@@ -196,7 +196,6 @@ fn duplicate_grid_cells_collapse_to_one_job() {
 #[test]
 fn misses_are_claimed_largest_estimated_cost_first() {
     use horizon_engine::estimated_cost;
-    use std::sync::Mutex;
 
     let campaign = campaign();
     // Full speed-int suite for a meaningful spread of estimated costs.
@@ -206,13 +205,16 @@ fn misses_are_claimed_largest_estimated_cost_first() {
         .collect();
     let machines = vec![MachineConfig::skylake_i7_6700()];
 
-    let order: std::sync::Arc<Mutex<Vec<String>>> = std::sync::Arc::new(Mutex::new(Vec::new()));
-    let sink = std::sync::Arc::clone(&order);
-    // One worker: completion order == claim order == scheduled order.
-    let engine = Engine::new().with_jobs(1).with_progress(move |e| {
-        sink.lock().unwrap().push(e.workload.clone());
-    });
+    // One worker: span close order == claim order == scheduled order.
+    let engine = Engine::new().with_jobs(1);
     engine.measure_profiles(&campaign, &profiles, &machines);
+    let order: Vec<String> = engine
+        .recorder()
+        .snapshot()
+        .spans_named("engine.job")
+        .iter()
+        .map(|s| s.field_str("workload").unwrap().to_string())
+        .collect();
 
     let mut expected: Vec<(u64, usize)> = profiles
         .iter()
@@ -224,7 +226,7 @@ fn misses_are_claimed_largest_estimated_cost_first() {
         .iter()
         .map(|&(_, i)| profiles[i].name().to_string())
         .collect();
-    assert_eq!(*order.lock().unwrap(), expected);
+    assert_eq!(order, expected);
 }
 
 #[test]
@@ -318,38 +320,6 @@ fn telemetry_captures_campaign_structure_and_matches_stats() {
 }
 
 #[test]
-fn progress_callback_sees_every_job_exactly_once() {
-    use std::sync::Mutex;
-    let campaign = campaign();
-    let profiles = profiles();
-    let machines = machines();
-
-    let events: std::sync::Arc<Mutex<Vec<(String, String, bool)>>> =
-        std::sync::Arc::new(Mutex::new(Vec::new()));
-    let sink = std::sync::Arc::clone(&events);
-    let engine = Engine::new().with_jobs(3).with_progress(move |e| {
-        sink.lock()
-            .unwrap()
-            .push((e.workload.clone(), e.machine.clone(), e.cached));
-    });
-
-    engine.measure_profiles(&campaign, &profiles, &machines);
-    engine.measure_profiles(&campaign, &profiles, &machines);
-
-    let events = events.lock().unwrap();
-    let total = profiles.len() * machines.len();
-    assert_eq!(events.len(), 2 * total);
-    assert_eq!(
-        events.iter().filter(|(_, _, cached)| !cached).count(),
-        total
-    );
-    assert_eq!(
-        events.iter().filter(|(_, _, cached)| *cached).count(),
-        total
-    );
-}
-
-#[test]
 fn concurrent_identical_campaigns_simulate_each_job_once() {
     use std::sync::{Arc, Barrier};
 
@@ -375,17 +345,15 @@ fn concurrent_identical_campaigns_simulate_each_job_once() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    // Whichever way the race resolves — the second campaign coalescing
-    // onto the first's in-flight jobs, or arriving late enough to hit the
-    // memo — each unique job simulates exactly once across both.
+    // Whichever campaign takes the simulation lock first, the other finds
+    // every job in the memo once it gets the lock: each unique job
+    // simulates exactly once across both.
     let stats = engine.stats();
     assert_eq!(stats.simulated_jobs, unique as u64);
     assert_eq!(
-        stats.coalesced_jobs + stats.memo_hits,
-        unique as u64,
-        "the non-leading campaign is fully served without simulating"
+        stats.memo_hits, unique as u64,
+        "the later campaign is fully served without simulating"
     );
-    assert_eq!(engine.inflight_waiting(), 0, "waiter accounting drains");
 
     // Both campaigns see bit-identical grids.
     let reference = Engine::new()
@@ -397,66 +365,73 @@ fn concurrent_identical_campaigns_simulate_each_job_once() {
 }
 
 #[test]
-fn leader_failure_propagates_a_clean_error_to_every_coalesced_waiter() {
+fn concurrent_overlapping_campaigns_simulate_the_union_once() {
+    use std::sync::{Arc, Barrier};
+
+    let campaign = campaign();
+    let profiles = profiles();
+    // Two distinct grids sharing the Skylake column.
+    let grids = [
+        vec![MachineConfig::skylake_i7_6700(), MachineConfig::sparc_t4()],
+        vec![MachineConfig::skylake_i7_6700()],
+    ];
+    let union = profiles.len() * grids[0].len();
+
+    let engine = Arc::new(Engine::new().with_jobs(2));
+    let barrier = Arc::new(Barrier::new(grids.len()));
+    let results: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = grids
+            .iter()
+            .map(|machines| {
+                let engine = Arc::clone(&engine);
+                let barrier = Arc::clone(&barrier);
+                let (campaign, profiles) = (&campaign, &profiles);
+                scope.spawn(move || {
+                    barrier.wait();
+                    engine.measure_profiles(campaign, profiles, machines)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    let stats = engine.stats();
+    assert_eq!(
+        stats.simulated_jobs, union as u64,
+        "the shared column must simulate once"
+    );
+    assert_eq!(engine.memo_entries(), union);
+    for (result, machines) in results.iter().zip(&grids) {
+        let reference = Engine::new()
+            .with_jobs(1)
+            .measure_profiles(&campaign, &profiles, machines);
+        assert_eq!(result, &reference);
+    }
+}
+
+#[test]
+fn a_panicking_campaign_leaves_the_engine_usable() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::{mpsc, Arc};
-    use std::time::Duration;
 
     let campaign = campaign();
     let profiles = profiles();
     let machines = machines();
+    let mut broken = MachineConfig::skylake_i7_6700();
+    broken.name = "broken".to_string();
+    broken.hierarchy.l1d.associativity = 0;
 
-    // The leader's progress callback fires after simulation but *before*
-    // the job publishes, so panicking there models a campaign dying with
-    // followers already parked on its in-flight jobs.
-    let (claimed_tx, claimed_rx) = mpsc::channel::<()>();
-    let leader_engine: Arc<Engine> = Arc::new(Engine::new().with_jobs(1).with_progress({
-        let claimed_tx = claimed_tx.clone();
-        move |_| {
-            claimed_tx.send(()).ok();
-            // Give the follower time to claim and park before dying.
-            std::thread::sleep(Duration::from_millis(300));
-            panic!("injected leader fault");
-        }
+    // The fleet rejects the zero-way cache mid-simulation, unwinding the
+    // campaign while it holds the simulation lock.
+    let engine = Engine::new().with_jobs(2);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        engine.measure_profiles(&campaign, &profiles, &[machines[0].clone(), broken])
     }));
+    assert!(outcome.is_err(), "a zero-way L1D must panic");
+    assert_eq!(engine.memo_entries(), 0, "nothing partial is memoized");
 
-    let follower = {
-        let engine = Arc::clone(&leader_engine);
-        let (campaign, profiles, machines) = (campaign, profiles.clone(), machines.clone());
-        std::thread::spawn(move || {
-            claimed_rx.recv().expect("leader reached its first job");
-            catch_unwind(AssertUnwindSafe(|| {
-                engine.measure_profiles(&campaign, &profiles, &machines)
-            }))
-        })
-    };
-
-    let leader_outcome = catch_unwind(AssertUnwindSafe(|| {
-        leader_engine.measure_profiles(&campaign, &profiles, &machines)
-    }));
-    assert!(
-        leader_outcome.is_err(),
-        "the injected fault unwinds the leader"
-    );
-
-    let follower_outcome = follower.join().expect("follower thread");
-    let payload = follower_outcome.expect_err("followers of a dead leader fail too");
-    let message = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .unwrap_or_else(|| {
-            payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .unwrap_or_default()
-        });
-    assert!(
-        message.contains("abandoned") || message.contains("leader"),
-        "follower failure names the coalesced leader: {message}"
-    );
-
-    // No hang, no partial state: nothing was memoized and no waiter is
-    // left parked.
-    assert_eq!(leader_engine.memo_entries(), 0, "no partial memo entry");
-    assert_eq!(leader_engine.inflight_waiting(), 0, "waiters drained");
+    let result = engine.measure_profiles(&campaign, &profiles, &machines);
+    let reference = Engine::new()
+        .with_jobs(1)
+        .measure_profiles(&campaign, &profiles, &machines);
+    assert_eq!(result, reference);
 }

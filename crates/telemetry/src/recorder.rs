@@ -202,11 +202,6 @@ impl Recorder {
         self
     }
 
-    /// True unless constructed with [`Recorder::disabled`].
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Opens a span. The guard records the span when dropped; its parent is
     /// the innermost open span *of this recorder* on the current thread
     /// (override with [`Span::set_parent`] for cross-thread work).

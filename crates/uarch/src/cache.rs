@@ -117,13 +117,6 @@ impl Cache {
         self.misses += (misses.len() - before) as u64;
     }
 
-    /// Batched fill-path installs: [`Cache::install`] (`mru == true`) or
-    /// [`Cache::install_lru`] per address, in order. Never touches the
-    /// access/miss counters.
-    pub fn install_lines(&mut self, addrs: &[u64], mru: bool) {
-        self.lines.fill_lanes(self.line_shift, addrs, mru);
-    }
-
     /// Total accesses so far.
     pub fn accesses(&self) -> u64 {
         self.accesses

@@ -238,14 +238,6 @@ impl LruSets {
         }
     }
 
-    /// Batched fill-path installs: [`LruSets::fill`] per address
-    /// (key = `addr >> shift`), in order, all at the same priority.
-    pub(crate) fn fill_lanes(&mut self, shift: u32, addrs: &[u64], mru: bool) {
-        for &addr in addrs {
-            self.fill(addr >> shift, mru);
-        }
-    }
-
     /// Clears contents and the LRU clock.
     pub(crate) fn reset(&mut self) {
         self.data.fill(0);
@@ -429,23 +421,18 @@ mod tests {
 
     #[test]
     fn batched_lanes_match_scalar_probes() {
-        // touch_lanes/fill_lanes must be event-for-event equivalent to the
-        // scalar calls, including the reported miss positions.
+        // touch_lanes must be event-for-event equivalent to the scalar
+        // calls, including the reported miss positions.
         for (sets, ways) in [(16u64, 4u32), (1, 128)] {
             let mut batched = LruSets::new(sets, ways);
             let mut scalar = LruSets::new(sets, ways);
             let mut x = 7u64;
             let mut events = Vec::new();
-            let mut fills = Vec::new();
             for round in 0..40 {
                 events.clear();
-                fills.clear();
                 for pos in 0..97u32 {
                     x = x.wrapping_mul(6364136223846793005).wrapping_add(round);
                     events.push((pos, (x >> 30) % (sets * ways as u64 * 128)));
-                    if pos % 9 == 0 {
-                        fills.push((x >> 33) % (sets * ways as u64 * 128));
-                    }
                 }
                 let mut got = Vec::new();
                 batched.touch_lanes(7, &events, &mut got);
@@ -456,10 +443,6 @@ mod tests {
                     }
                 }
                 assert_eq!(got, want, "round {round}");
-                batched.fill_lanes(7, &fills, round % 2 == 0);
-                for &addr in &fills {
-                    scalar.fill(addr >> 7, round % 2 == 0);
-                }
             }
             assert_eq!(batched.data, scalar.data);
         }

@@ -356,13 +356,6 @@ impl MachineConfig {
         m.predictor = predictor;
         m
     }
-
-    /// Returns a copy with a different L1 data TLB.
-    pub fn with_l1d_tlb(&self, config: TlbConfig) -> MachineConfig {
-        let mut m = self.clone();
-        m.tlb.l1d = config;
-        m
-    }
 }
 
 #[cfg(test)]

@@ -13,16 +13,7 @@ use horizon::workloads::cpu2017;
 use std::sync::Arc;
 
 fn main() {
-    let engine = Arc::new(Engine::new().with_progress(|e| {
-        eprintln!(
-            "[{:>2}/{}] {} on {} {}",
-            e.completed,
-            e.total,
-            e.workload,
-            e.machine,
-            if e.cached { "(cached)" } else { "" }
-        );
-    }));
+    let engine = Arc::new(Engine::new());
     Arc::clone(&engine).install();
 
     let campaign = Campaign::quick();

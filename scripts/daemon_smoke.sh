@@ -2,7 +2,8 @@
 # End-to-end smoke of the `repro serve` daemon: health, keep-alive,
 # memoization across requests, bounded memory over a burst of warm
 # requests, trace-store write/replay, cache GC,
-# request coalescing, JSON/text response formats, rejection of the
+# request coalescing, exactly-once simulation in a cold burst of
+# overlapping experiments, JSON/text response formats, rejection of the
 # retired streaming routes, phase-sampled runs (simpoint.* metrics), and
 # graceful drain.
 #
@@ -112,6 +113,29 @@ grep -q '"schema_version":1' run_par_1.json
 coalesced=$(metric horizon_serve_coalesced_runs)
 echo "coalesced runs: ${coalesced:-0}"
 test "${coalesced:-0}" -ge 1
+
+# Cold burst: distinct experiments that share grid cells, sent at once on
+# a fresh seed, run as concurrent campaigns on the one engine. Every job
+# they miss must simulate exactly once, so the simulated-job count grows
+# by exactly the number of new memo entries.
+memo_entries() {
+  curl -fsS "${BASE}/healthz" | grep -o '"memo_entries":[0-9]*' | cut -d: -f2
+}
+burst_seed=$((fresh_seed + 1))
+sim_before=$(metric horizon_engine_simulated_jobs)
+memo_before=$(memo_entries)
+CURL_PIDS=""
+for exp in table1 table2 fig1 fig2; do
+  curl -fsS -X POST -d "{\"quick\":true,\"seed\":${burst_seed}}" "${BASE}/run/${exp}" \
+    > "burst_${exp}.json" &
+  CURL_PIDS="${CURL_PIDS} $!"
+done
+wait ${CURL_PIDS}
+sim_delta=$(( $(metric horizon_engine_simulated_jobs) - ${sim_before:-0} ))
+memo_delta=$(( $(memo_entries) - memo_before ))
+echo "cold burst: ${sim_delta} jobs simulated, ${memo_delta} new memo entries"
+test "${sim_delta}" -gt 0
+test "${sim_delta}" -eq "${memo_delta}"
 
 # ?format=text must be byte-identical to batch stdout.
 curl -fsS -X POST -d '{"quick":true}' "${BASE}/run/table1?format=text" > served.txt
