@@ -245,6 +245,12 @@ fn run_cache_gc(opts: &Options) -> u8 {
         "cache-gc: examined {} entries, removed {}, reclaimed {} bytes, retained {}",
         report.examined, report.removed, report.reclaimed_bytes, report.retained
     );
+    if report.tmp_removed > 0 {
+        println!(
+            "cache-gc: pruned {} orphaned entry temp file(s)",
+            report.tmp_removed
+        );
+    }
 
     if let Some(trace_dir) = &opts.trace_store {
         let store = match TraceStore::open(trace_dir) {

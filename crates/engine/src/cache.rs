@@ -41,6 +41,9 @@ pub struct GcReport {
     pub reclaimed_bytes: u64,
     /// Entries left in the cache.
     pub retained: u64,
+    /// Orphaned entry temp files (interrupted stores older than
+    /// [`horizon_tracestore::TMP_ORPHAN_TTL`]) deleted.
+    pub tmp_removed: u64,
     /// Trace files present before the trace-store pass (zero when no
     /// trace store was pruned).
     pub trace_examined: u64,
@@ -155,7 +158,10 @@ impl DiskCache {
     /// Prunes the cache down to `max_entries` entries, deleting the least
     /// recently used first (by file mtime; [`DiskCache::load`] touches
     /// entries on every hit). Ties break by file name so a pass is
-    /// deterministic on coarse-mtime filesystems. Emits an
+    /// deterministic on coarse-mtime filesystems. Temp files orphaned by
+    /// interrupted stores are deleted once older than
+    /// [`horizon_tracestore::TMP_ORPHAN_TTL`]; younger ones may belong to a
+    /// store in progress and are kept. Emits an
     /// `engine.cache_gc` span plus `engine.cache_gc_removed` and
     /// `engine.cache_gc_reclaimed_bytes` counters to the globally
     /// installed recorder, if any.
@@ -194,10 +200,12 @@ impl DiskCache {
             }
         }
         report.retained = report.examined - report.removed;
+        (report.tmp_removed, _) = horizon_tracestore::sweep_tmp_orphans(&self.dir)?;
 
         span.record("examined", report.examined);
         span.record("removed", report.removed);
         span.record("reclaimed_bytes", report.reclaimed_bytes);
+        span.record("tmp_removed", report.tmp_removed);
         horizon_telemetry::counter_add("engine.cache_gc_removed", report.removed);
         horizon_telemetry::counter_add("engine.cache_gc_reclaimed_bytes", report.reclaimed_bytes);
         Ok(report)
@@ -377,6 +385,38 @@ mod tests {
         assert!(cache.load(&entries[3].0).is_some());
         assert!(cache.load(&entries[1].0).is_none());
         assert!(cache.load(&entries[2].0).is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn gc_removes_stale_orphaned_temp_files_and_keeps_fresh_ones() {
+        let dir = temp_dir("gc-tmp");
+        let cache = DiskCache::open(&dir).unwrap();
+        let (fp, m) = sample();
+        assert!(cache.store(&fp, &m));
+        // Left behind by stores interrupted between create and rename.
+        let stale = dir.join(format!(".{fp}.99999.0.tmp"));
+        let fresh = dir.join(format!(".{fp}.99999.1.tmp"));
+        for path in [&stale, &fresh] {
+            std::fs::write(path, b"interrupted store").unwrap();
+        }
+        let ttl = horizon_tracestore::TMP_ORPHAN_TTL;
+        let age = |path: &Path, by: std::time::Duration| {
+            let file = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+            file.set_modified(SystemTime::now() - by).unwrap();
+        };
+        age(&stale, ttl + std::time::Duration::from_secs(60));
+        age(&fresh, ttl - std::time::Duration::from_secs(60));
+
+        let report = cache.gc(10).unwrap();
+        assert_eq!(report.tmp_removed, 1);
+        assert!(!stale.exists(), "a temp file past the TTL is an orphan");
+        assert!(fresh.exists(), "a younger one may be a store in progress");
+        assert_eq!(
+            (report.examined, report.removed, report.retained),
+            (1, 0, 1)
+        );
+        assert_eq!(cache.load(&fp).as_ref(), Some(&m));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -8,10 +8,11 @@
 //! serialized shape of profiles or machines invalidates old cache entries
 //! instead of silently aliasing them.
 
-use horizon_core::campaign::Campaign;
+use horizon_core::campaign::{Campaign, SamplingPolicy};
 use horizon_trace::WorkloadProfile;
 use horizon_uarch::MachineConfig;
 use serde::{Serialize, Value};
+use std::collections::HashMap;
 
 /// Bump when the fingerprint encoding (or the meaning of a cached
 /// measurement) changes; old disk-cache entries then miss cleanly.
@@ -47,9 +48,9 @@ fn sampling_entry(campaign: &Campaign) -> Option<(String, Value)> {
 
 impl Fingerprint {
     /// Fingerprints one simulation job. The engine fingerprints a whole
-    /// grid without this call: it hashes each profile's key prefix once
-    /// (`JobPrefix`) and serializes each machine once (`MachineJson`),
-    /// which gives the same digest.
+    /// grid without this call: its `KeyCache` hashes each profile row's key
+    /// prefix once (`JobPrefix`), serializes each machine once
+    /// (`MachineJson`) and keeps every digest, which are the same digests.
     pub fn of_job(campaign: &Campaign, profile: &WorkloadProfile, machine: &MachineConfig) -> Self {
         JobPrefix::new(campaign, profile).job(&MachineJson::new(machine))
     }
@@ -141,6 +142,100 @@ impl JobPrefix {
         hash.write(machine.0.as_bytes());
         hash.write(self.tail.as_bytes());
         Fingerprint(hash.hex())
+    }
+}
+
+/// The engine's memo of job keys, so a warm expansion costs one hash
+/// lookup per profile row and per cell instead of a JSON serialization
+/// and an FNV-1a fold.
+///
+/// Machines are interned by [`MachineConfig::content_key`] to an id and
+/// their canonical JSON. Rows are keyed by the campaign's window, seed and
+/// sampling policy plus [`WorkloadProfile::content_key`]; a row holds its
+/// [`JobPrefix`], its [`Fingerprint::of_profile`] batch key, and the job
+/// fingerprint of each machine id it has met. Content keys are the
+/// bit-exact words of every field, never coarser than the JSON, and a miss
+/// computes exactly what [`Fingerprint::of_job`] computes, so every cached
+/// digest equals the uncached one. The cache grows by one entry per
+/// distinct row and per distinct job, as the memo does.
+#[derive(Debug, Default)]
+pub(crate) struct KeyCache {
+    machine_ids: HashMap<Vec<u64>, usize>,
+    /// Canonical JSON by machine id.
+    machines: Vec<MachineJson>,
+    row_ids: HashMap<RowKey, usize>,
+    rows: Vec<Row>,
+}
+
+/// Everything a profile row's keys depend on besides the machine.
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct RowKey {
+    instructions: u64,
+    warmup: u64,
+    seed: u64,
+    sampling: SamplingPolicy,
+    profile: Vec<u64>,
+}
+
+#[derive(Debug)]
+struct Row {
+    prefix: JobPrefix,
+    batch: Fingerprint,
+    /// Job fingerprints by machine id, filled as machines are met.
+    jobs: Vec<Option<Fingerprint>>,
+}
+
+impl KeyCache {
+    /// The id of `machine`, interning it on first sight.
+    pub(crate) fn machine(&mut self, machine: &MachineConfig) -> usize {
+        let key = machine.content_key();
+        if let Some(&id) = self.machine_ids.get(&key) {
+            return id;
+        }
+        let id = self.machines.len();
+        self.machines.push(MachineJson::new(machine));
+        self.machine_ids.insert(key, id);
+        id
+    }
+
+    /// The id of `profile`'s row under `campaign`, and whether it was
+    /// cached.
+    pub(crate) fn row(&mut self, campaign: &Campaign, profile: &WorkloadProfile) -> (usize, bool) {
+        let key = RowKey {
+            instructions: campaign.instructions,
+            warmup: campaign.warmup,
+            seed: campaign.seed,
+            sampling: campaign.sampling,
+            profile: profile.content_key(),
+        };
+        if let Some(&id) = self.row_ids.get(&key) {
+            return (id, true);
+        }
+        let id = self.rows.len();
+        self.rows.push(Row {
+            prefix: JobPrefix::new(campaign, profile),
+            batch: Fingerprint::of_profile(campaign, profile),
+            jobs: Vec::new(),
+        });
+        self.row_ids.insert(key, id);
+        (id, false)
+    }
+
+    /// The fingerprint of row `row`'s job on machine id `machine`, and
+    /// whether it was cached.
+    pub(crate) fn job(&mut self, row: usize, machine: usize) -> (&Fingerprint, bool) {
+        let Row { prefix, jobs, .. } = &mut self.rows[row];
+        if jobs.len() <= machine {
+            jobs.resize(machine + 1, None);
+        }
+        let hit = jobs[machine].is_some();
+        let fp = jobs[machine].get_or_insert_with(|| prefix.job(&self.machines[machine]));
+        (fp, hit)
+    }
+
+    /// Row `row`'s fleet-batch key ([`Fingerprint::of_profile`]).
+    pub(crate) fn batch(&self, row: usize) -> &Fingerprint {
+        &self.rows[row].batch
     }
 }
 
@@ -305,6 +400,51 @@ mod tests {
             }
         }
         assert!(cells >= 3 * 70 * 7, "{cells} cells");
+    }
+
+    #[test]
+    fn key_cache_returns_the_uncached_digests_on_every_expansion() {
+        use horizon_core::campaign::SamplingPolicy;
+        let mut profiles: Vec<WorkloadProfile> = Vec::new();
+        for benchmark in horizon_workloads::full_catalog() {
+            profiles.push(benchmark.profile().clone());
+            for input in horizon_workloads::inputs::input_sets(&benchmark) {
+                profiles.push(input.profile);
+            }
+        }
+        let machines = MachineConfig::table_iv_machines();
+        let campaigns = [
+            Campaign::default(),
+            Campaign::quick(),
+            Campaign {
+                sampling: SamplingPolicy::simpoint_default(),
+                ..Campaign::quick()
+            },
+        ];
+        // Some input sets share their benchmark's content, so the first
+        // pass already hits on their rows.
+        let distinct: std::collections::HashSet<Vec<u64>> =
+            profiles.iter().map(WorkloadProfile::content_key).collect();
+        let mut keys = KeyCache::default();
+        for pass in 0..2 {
+            for campaign in &campaigns {
+                let mut seen = std::collections::HashSet::new();
+                let ids: Vec<usize> = machines.iter().map(|m| keys.machine(m)).collect();
+                for profile in &profiles {
+                    let warm = pass == 1 || !seen.insert(profile.content_key());
+                    let (row, row_hit) = keys.row(campaign, profile);
+                    assert_eq!(row_hit, warm, "{}", profile.name());
+                    assert_eq!(keys.batch(row), &Fingerprint::of_profile(campaign, profile));
+                    for (machine, &id) in machines.iter().zip(&ids) {
+                        let (fp, cell_hit) = keys.job(row, id);
+                        assert_eq!(cell_hit, warm);
+                        assert_eq!(fp, &Fingerprint::of_job(campaign, profile, machine));
+                    }
+                }
+            }
+        }
+        assert_eq!(keys.machines.len(), machines.len());
+        assert_eq!(keys.rows.len(), campaigns.len() * distinct.len());
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //!
 //! 1. **Expansion + deduplication** — a campaign expands into jobs keyed
 //!    by a content [`Fingerprint`] of `(workload profile, machine config,
-//!    window, warmup, seed)`; identical cells collapse to one job.
+//!    window, warmup, seed)`; identical cells collapse to one job. The
+//!    engine keeps every key it computes, looked up by the bit-exact
+//!    content of the profile and machine, so a repeated campaign finds
+//!    its keys without re-serializing a row.
 //! 2. **Work stealing** — pending jobs land in a flat vector, sorted
 //!    largest-estimated-cost-first ([`estimated_cost`], classic LPT
 //!    scheduling), and workers claim them through an atomic cursor, so a
@@ -44,9 +47,10 @@
 //! Every engine owns a [`horizon_telemetry::Recorder`]. Each campaign call
 //! opens an `engine.campaign` span with child stage spans
 //! (`engine.expand`, `engine.probe`, `engine.simulate`, `engine.integrate`,
-//! `engine.assemble`) and one `engine.job` span per unique job carrying
-//! `workload` / `machine` / `outcome` (`"memo"`, `"disk"` or
-//! `"simulated"`) fields; worker-side job spans are explicitly parented
+//! `engine.assemble`; `engine.expand` records the key cache's `rows`,
+//! `row_hits`, `cells` and `cell_hits`) and one `engine.job` span per
+//! unique job carrying `workload` / `machine` / `outcome` (`"memo"`,
+//! `"disk"` or `"simulated"`) fields; worker-side job spans are explicitly parented
 //! to the campaign span. Counters (`engine.campaigns`, `engine.cells`,
 //! `engine.unique_jobs`, `engine.simulated_jobs`, `engine.memo_hits`,
 //! `engine.disk_hits`, `engine.simulated_instructions`,
@@ -82,7 +86,7 @@ pub use stats::{EngineStats, JobTiming};
 // grow their own `horizon-tracestore` dependency.
 pub use horizon_tracestore::{TraceGc, TraceKey, TraceStore};
 
-use crate::fingerprint::{JobPrefix, MachineJson};
+use crate::fingerprint::KeyCache;
 use horizon_core::campaign::{Campaign, CampaignExecutor, CampaignResult, Measurement};
 use horizon_telemetry::{Recorder, Span};
 use horizon_trace::{Instruction, TraceGenerator, WorkloadProfile};
@@ -104,6 +108,8 @@ pub struct Engine {
     disk: Option<DiskCache>,
     traces: Option<TraceStore>,
     memo: Mutex<HashMap<Fingerprint, Measurement>>,
+    /// Job and fleet-batch keys of every row and cell expanded so far.
+    keys: Mutex<KeyCache>,
     /// Held by the one campaign simulating at a time, from its last memo
     /// probe until its results are memoized.
     simulating: Mutex<()>,
@@ -125,6 +131,7 @@ impl Engine {
             disk: None,
             traces: None,
             memo: Mutex::new(HashMap::new()),
+            keys: Mutex::new(KeyCache::default()),
             simulating: Mutex::new(()),
             recorder: Arc::new(Recorder::new()),
         }
@@ -263,30 +270,48 @@ impl Engine {
         // on their own threads (the id is thread-local, not inherited).
         let run = horizon_telemetry::current_run_id();
 
-        // Phase 1: expand the grid into de-duplicated jobs.
-        let expand_span = rec.span("engine.expand");
+        // Phase 1: expand the grid into de-duplicated jobs. The key cache
+        // serves each row's and each cell's key from earlier campaigns and
+        // computes only the new ones.
+        let mut expand_span = rec.span("engine.expand");
         let mut job_index: HashMap<Fingerprint, usize> = HashMap::new();
         // job id -> (profile index, machine index) of its first occurrence.
         let mut jobs: Vec<(usize, usize)> = Vec::new();
         let mut fingerprints: Vec<Fingerprint> = Vec::new();
         let mut cell_jobs: Vec<Vec<usize>> = Vec::with_capacity(profiles.len());
-        // Each machine is serialized once and each profile's key prefix
-        // hashed once; a cell only hashes its machine's bytes on top.
-        let machine_json: Vec<MachineJson> = machines.iter().map(MachineJson::new).collect();
+        // Key-cache row id per profile, for the fleet-batch keys.
+        let mut rows: Vec<usize> = Vec::with_capacity(profiles.len());
+        let (mut row_hits, mut cell_hits) = (0u64, 0u64);
+        // A panic while the lock is held leaves no partial entry behind,
+        // so a poisoned key cache is still sound.
+        let mut keys = self.keys.lock().unwrap_or_else(PoisonError::into_inner);
+        let machine_ids: Vec<usize> = machines.iter().map(|m| keys.machine(m)).collect();
         for (w, profile) in profiles.iter().enumerate() {
-            let prefix = JobPrefix::new(campaign, profile);
-            let mut row = Vec::with_capacity(machines.len());
-            for (m, machine) in machine_json.iter().enumerate() {
-                let fp = prefix.job(machine);
-                let id = *job_index.entry(fp.clone()).or_insert_with(|| {
-                    jobs.push((w, m));
-                    fingerprints.push(fp);
-                    jobs.len() - 1
-                });
-                row.push(id);
+            let (row, hit) = keys.row(campaign, profile);
+            row_hits += u64::from(hit);
+            let mut cells = Vec::with_capacity(machines.len());
+            for (m, &machine) in machine_ids.iter().enumerate() {
+                let (fp, hit) = keys.job(row, machine);
+                cell_hits += u64::from(hit);
+                let id = match job_index.get(fp) {
+                    Some(&id) => id,
+                    None => {
+                        job_index.insert(fp.clone(), jobs.len());
+                        jobs.push((w, m));
+                        fingerprints.push(fp.clone());
+                        jobs.len() - 1
+                    }
+                };
+                cells.push(id);
             }
-            cell_jobs.push(row);
+            cell_jobs.push(cells);
+            rows.push(row);
         }
+        drop(keys);
+        expand_span.record("rows", profiles.len());
+        expand_span.record("row_hits", row_hits);
+        expand_span.record("cells", profiles.len() * machines.len());
+        expand_span.record("cell_hits", cell_hits);
         drop(expand_span);
 
         // Phase 2: serve jobs from the memo table, then the disk cache.
@@ -369,9 +394,10 @@ impl Engine {
         let mut batch_index: HashMap<Fingerprint, usize> = HashMap::new();
         // Per batch: (workload index of the first job, member job ids).
         let mut batches: Vec<(usize, Vec<usize>)> = Vec::new();
+        let keys = self.keys.lock().unwrap_or_else(PoisonError::into_inner);
         for id in (0..jobs.len()).filter(|&id| resolved[id].is_none()) {
             let w = jobs[id].0;
-            match batch_index.entry(Fingerprint::of_profile(campaign, &profiles[w])) {
+            match batch_index.entry(keys.batch(rows[w]).clone()) {
                 std::collections::hash_map::Entry::Occupied(e) => {
                     batches[*e.get()].1.push(id);
                 }
@@ -381,6 +407,7 @@ impl Engine {
                 }
             }
         }
+        drop(keys);
         batches.sort_by(|a, b| {
             profile_cost[b.0]
                 .cmp(&profile_cost[a.0])

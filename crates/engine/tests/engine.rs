@@ -264,6 +264,18 @@ fn telemetry_captures_campaign_structure_and_matches_stats() {
     // The second, fully memoized campaign runs no simulate stage.
     assert_eq!(snap.spans_named("engine.simulate").len(), 1);
 
+    // The key cache computes every key on the cold expansion and serves
+    // every key on the warm one.
+    let expands = snap.spans_named("engine.expand");
+    let field = |i: usize, name: &str| expands[i].field_u64(name).unwrap();
+    for i in 0..2 {
+        assert_eq!(field(i, "rows"), profiles.len() as u64);
+        assert_eq!(field(i, "cells"), unique as u64);
+    }
+    assert_eq!((field(0, "row_hits"), field(0, "cell_hits")), (0, 0));
+    assert_eq!(field(1, "row_hits"), profiles.len() as u64);
+    assert_eq!(field(1, "cell_hits"), unique as u64);
+
     // One engine.job span per unique job per campaign, correctly parented
     // (simulated jobs hang off the campaign, cached ones off the probe
     // stage) and labeled with its outcome.
@@ -434,4 +446,38 @@ fn a_panicking_campaign_leaves_the_engine_usable() {
         .with_jobs(1)
         .measure_profiles(&campaign, &profiles, &machines);
     assert_eq!(result, reference);
+}
+
+#[test]
+fn partialeq_equal_profiles_with_distinct_json_never_share_a_job() {
+    let campaign = campaign();
+    let profile = |kernel_fraction: f64| {
+        WorkloadProfile::builder("signed-zero")
+            .kernel_fraction(kernel_fraction)
+            .build()
+            .unwrap()
+    };
+    let (positive, negative) = (profile(0.0), profile(-0.0));
+    // Equal under `PartialEq`, apart in their JSON and so in their job keys.
+    assert_eq!(positive, negative);
+    let machines = &machines()[..1];
+    assert_ne!(
+        horizon_engine::Fingerprint::of_job(&campaign, &positive, &machines[0]),
+        horizon_engine::Fingerprint::of_job(&campaign, &negative, &machines[0])
+    );
+
+    let engine = Engine::new().with_jobs(1);
+    engine.measure_profiles(&campaign, std::slice::from_ref(&positive), machines);
+    engine.measure_profiles(&campaign, std::slice::from_ref(&negative), machines);
+    assert_eq!(engine.stats().simulated_jobs, 2);
+    assert_eq!(engine.memo_entries(), 2);
+
+    // Both rows in one grid: two jobs again, both served from the memo.
+    engine.reset_stats();
+    engine.measure_profiles(&campaign, &[positive, negative], machines);
+    let stats = engine.stats();
+    assert_eq!(stats.unique_jobs, 2);
+    assert_eq!(stats.memo_hits, 2);
+    assert_eq!(stats.simulated_jobs, 0);
+    assert_eq!(engine.memo_entries(), 2);
 }

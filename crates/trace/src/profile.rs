@@ -381,6 +381,85 @@ impl WorkloadProfile {
         self.dependency_intensity
     }
 
+    /// The profile's content as bit-exact `u64` words, for keying caches
+    /// without serializing the profile.
+    ///
+    /// Floats enter by [`f64::to_bits`], the name and the region list are
+    /// prefixed with their length, and each [`AccessPattern`] variant has
+    /// its own tag word. So two profiles have equal keys exactly when
+    /// every field is bit-identical — never coarser than their JSON: a
+    /// `kernel_fraction` of `0.0` and of `-0.0` compare equal but key
+    /// apart, as they serialize apart. Every struct is destructured
+    /// without `..`, so a new field does not compile until it is keyed.
+    pub fn content_key(&self) -> Vec<u64> {
+        let WorkloadProfile {
+            name,
+            icount_billions,
+            mix,
+            memory,
+            branches,
+            code,
+            kernel_fraction,
+            dependency_intensity,
+        } = self;
+        let InstructionMix {
+            loads,
+            stores,
+            branches: branch_fraction,
+            fp,
+            simd,
+        } = mix;
+        let MemoryModel { regions } = memory;
+        let BranchBehavior {
+            taken_fraction,
+            regularity,
+            pattern_share,
+            static_branches,
+            bias_spread,
+        } = branches;
+        let CodeModel {
+            footprint_bytes,
+            hot_fraction,
+            hot_bytes,
+        } = code;
+        let mut key = Vec::with_capacity(24 + name.len() / 8 + 4 * regions.len());
+        key.push(name.len() as u64);
+        key.extend(name.as_bytes().chunks(8).map(|chunk| {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            u64::from_le_bytes(word)
+        }));
+        key.extend(
+            [icount_billions, loads, stores, branch_fraction, fp, simd].map(|v| v.to_bits()),
+        );
+        key.push(regions.len() as u64);
+        for Region {
+            bytes,
+            weight,
+            pattern,
+        } in regions
+        {
+            key.extend([*bytes, weight.to_bits()]);
+            match *pattern {
+                AccessPattern::Streaming { stride } => key.extend([0, stride]),
+                AccessPattern::Random => key.push(1),
+            }
+        }
+        key.extend([
+            taken_fraction.to_bits(),
+            regularity.to_bits(),
+            pattern_share.to_bits(),
+            *static_branches as u64,
+            bias_spread.to_bits(),
+            *footprint_bytes,
+            hot_fraction.to_bits(),
+            *hot_bytes,
+            kernel_fraction.to_bits(),
+            dependency_intensity.to_bits(),
+        ]);
+        key
+    }
+
     /// Returns a renamed copy (used for input-set variants).
     pub fn with_name(&self, name: impl Into<String>) -> WorkloadProfile {
         let mut p = self.clone();

@@ -32,4 +32,4 @@ pub mod store;
 pub use format::{
     Replay, TraceError, TraceReader, TraceWriter, FORMAT_VERSION, GRANULE_INSTRUCTIONS,
 };
-pub use store::{PendingTrace, TraceGc, TraceKey, TraceStore};
+pub use store::{sweep_tmp_orphans, PendingTrace, TraceGc, TraceKey, TraceStore, TMP_ORPHAN_TTL};

@@ -24,13 +24,57 @@ use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
-/// How stale a hidden `.tmp` file must be before [`TraceStore::gc`]
-/// treats it as an orphan of an interrupted [`PendingTrace`] publication
-/// rather than a concurrent in-flight write. Crashed writers never clean
-/// up their temp file (`Drop` does not run), so without this sweep the
-/// orphans accumulate invisibly — they carry no `.trace` extension, so
-/// the LRU pass never sees them.
+/// How stale a hidden `.tmp` file must be before a GC pass
+/// ([`sweep_tmp_orphans`], run by [`TraceStore::gc`] and the engine's
+/// measurement-cache GC) treats it as an orphan of an interrupted write,
+/// such as a [`PendingTrace`] publication, rather than a concurrent
+/// in-flight one. Crashed writers never clean up their temp file (`Drop`
+/// does not run), so without this sweep the orphans accumulate invisibly —
+/// they carry no `.trace` or `.json` extension, so the LRU pass never
+/// sees them.
 pub const TMP_ORPHAN_TTL: Duration = Duration::from_secs(60 * 60);
+
+/// Deletes the hidden `.*.tmp` files in `dir` older than
+/// [`TMP_ORPHAN_TTL`]: the orphans of writers that died between creating
+/// a temp file and renaming it into place. Younger ones may belong to a
+/// write still in progress and are kept. Returns the files deleted and
+/// the bytes they held.
+///
+/// # Errors
+///
+/// Returns the underlying I/O error if `dir` cannot be listed. Individual
+/// deletions are best-effort.
+pub fn sweep_tmp_orphans(dir: &Path) -> std::io::Result<(u64, u64)> {
+    let now = SystemTime::now();
+    let (mut removed, mut reclaimed_bytes) = (0, 0);
+    for dirent in std::fs::read_dir(dir)? {
+        let Ok(dirent) = dirent else { continue };
+        let path = dirent.path();
+        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+            continue;
+        };
+        if !name.starts_with('.') || !name.ends_with(".tmp") {
+            continue;
+        }
+        let Ok(meta) = dirent.metadata() else {
+            continue;
+        };
+        let age = meta
+            .modified()
+            .ok()
+            .and_then(|m| now.duration_since(m).ok())
+            .unwrap_or(Duration::ZERO);
+        if age < TMP_ORPHAN_TTL {
+            continue;
+        }
+        let len = meta.len();
+        if std::fs::remove_file(&path).is_ok() {
+            removed += 1;
+            reclaimed_bytes += len;
+        }
+    }
+    Ok((removed, reclaimed_bytes))
+}
 
 /// A trace's content address: 32 lowercase hex digits over the
 /// trace-defining inputs.
@@ -205,36 +249,7 @@ impl TraceStore {
         report.retained = report.examined - report.removed;
         report.retained_bytes = live;
 
-        // Sweep orphaned temp files from interrupted publications. A
-        // recent `.tmp` may be a concurrent writer mid-publication, so
-        // only files stale past TMP_ORPHAN_TTL are pruned.
-        let now = SystemTime::now();
-        for dirent in std::fs::read_dir(&self.dir)? {
-            let Ok(dirent) = dirent else { continue };
-            let path = dirent.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            if !name.starts_with('.') || !name.ends_with(".tmp") {
-                continue;
-            }
-            let Ok(meta) = dirent.metadata() else {
-                continue;
-            };
-            let age = meta
-                .modified()
-                .ok()
-                .and_then(|m| now.duration_since(m).ok())
-                .unwrap_or(Duration::ZERO);
-            if age < TMP_ORPHAN_TTL {
-                continue;
-            }
-            let len = meta.len();
-            if std::fs::remove_file(&path).is_ok() {
-                report.tmp_removed += 1;
-                report.tmp_reclaimed_bytes += len;
-            }
-        }
+        (report.tmp_removed, report.tmp_reclaimed_bytes) = sweep_tmp_orphans(&self.dir)?;
 
         span.record("examined", report.examined);
         span.record("removed", report.removed);

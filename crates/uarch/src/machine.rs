@@ -356,6 +356,118 @@ impl MachineConfig {
         m.predictor = predictor;
         m
     }
+
+    /// The machine's content as bit-exact `u64` words, for keying caches
+    /// without serializing the config.
+    ///
+    /// Floats enter by [`f64::to_bits`], the name is prefixed with its
+    /// length, and every enum variant and `Option` state has its own tag
+    /// word. So two machines have equal keys exactly when every field is
+    /// bit-identical, which is never coarser than their JSON. Every struct
+    /// is destructured without `..`, so a new field does not compile until
+    /// it is keyed.
+    pub fn content_key(&self) -> Vec<u64> {
+        let MachineConfig {
+            name,
+            isa,
+            freq_ghz,
+            issue_width,
+            hierarchy,
+            tlb,
+            predictor,
+            latency,
+        } = self;
+        let HierarchyConfig {
+            l1i,
+            l1d,
+            l2,
+            l3,
+            prefetch,
+        } = hierarchy;
+        let PrefetchConfig { to_l1, to_l2 } = prefetch;
+        let TlbHierarchyConfig {
+            l1i: itlb,
+            l1d: dtlb,
+            l2: stlb,
+        } = tlb;
+        let LatencyModel {
+            l2_hit,
+            l3_hit,
+            memory,
+            page_walk,
+            mispredict,
+            overlap_scale,
+        } = latency;
+        let cache = |key: &mut Vec<u64>, config: &CacheConfig| {
+            let CacheConfig {
+                capacity_bytes,
+                associativity,
+                line_bytes,
+            } = config;
+            key.extend([*capacity_bytes, u64::from(*associativity), *line_bytes]);
+        };
+        let tlb = |key: &mut Vec<u64>, config: &TlbConfig| {
+            let TlbConfig {
+                entries,
+                associativity,
+                page_bytes,
+            } = config;
+            key.extend([u64::from(*entries), u64::from(*associativity), *page_bytes]);
+        };
+
+        let mut key = Vec::with_capacity(48 + name.len() / 8);
+        key.push(name.len() as u64);
+        key.extend(name.as_bytes().chunks(8).map(|chunk| {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            u64::from_le_bytes(word)
+        }));
+        key.push(match isa {
+            Isa::X86 => 0,
+            Isa::Sparc => 1,
+        });
+        key.extend([freq_ghz.to_bits(), issue_width.to_bits()]);
+        for config in [l1i, l1d, l2] {
+            cache(&mut key, config);
+        }
+        match l3 {
+            None => key.push(0),
+            Some(config) => {
+                key.push(1);
+                cache(&mut key, config);
+            }
+        }
+        key.extend([u64::from(*to_l1), u64::from(*to_l2)]);
+        tlb(&mut key, itlb);
+        tlb(&mut key, dtlb);
+        match stlb {
+            None => key.push(0),
+            Some(config) => {
+                key.push(1);
+                tlb(&mut key, config);
+            }
+        }
+        match *predictor {
+            PredictorKind::Bimodal { table_bits } => key.extend([0, u64::from(table_bits)]),
+            PredictorKind::Gshare {
+                table_bits,
+                history_bits,
+            } => key.extend([1, u64::from(table_bits), u64::from(history_bits)]),
+            PredictorKind::TwoLevelLocal {
+                history_table_bits,
+                history_bits,
+            } => key.extend([2, u64::from(history_table_bits), u64::from(history_bits)]),
+            PredictorKind::TageLite { table_bits } => key.extend([3, u64::from(table_bits)]),
+            PredictorKind::Tournament {
+                table_bits,
+                history_bits,
+            } => key.extend([4, u64::from(table_bits), u64::from(history_bits)]),
+        }
+        key.extend(
+            [l2_hit, l3_hit, memory, page_walk, mispredict, overlap_scale].map(|v| v.to_bits()),
+        );
+        key
+    }
 }
 
 #[cfg(test)]
